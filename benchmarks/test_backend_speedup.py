@@ -1,17 +1,16 @@
 """Execution-backend comparison on the Figure 9(c) end-to-end workload.
 
-Acceptance measurement for the pass-based compiler / pluggable-backend
-refactor: ``BatchedBackend`` with the ``fuse_elementwise`` pass enabled
-must be ≥ 1.3× faster than ``SerialBackend`` with rewriting passes
-disabled, on the Figure 9(c) ECG+ABP dataset, with bit-identical outputs.
+Acceptance measurement for run-lowered execution: ``VectorizedBackend``
+must be ≥ 5× faster than ``SerialBackend`` with rewriting passes disabled,
+on the Figure 9(c) ECG+ABP dataset, with bit-identical outputs in both
+targeted and eager modes.
 
 The pipeline runs at a one-second window (the live-monitoring
 configuration, where per-window dispatch overhead is visible) and uses the
 hold-mode resample variant of the Figure 3 pipeline: interpolating
 resampling is window-extent-sensitive (its boundary clamping is visible in
-the output), so it is exactly the case where the batched backend refuses to
-widen — the hold variant is the strongest configuration where *identical
-outputs* across window geometries is achievable at all.
+the output), so it cannot lower to a run kernel — the hold variant is the
+configuration where every node of the plan runs as an array program.
 """
 
 import numpy as np
@@ -21,17 +20,13 @@ from benchmarks.conftest import get_report, timed_benchmark
 from repro.bench.harness import compare_backends
 from repro.bench.workloads import e2e_dataset
 from repro.core.engine import LifeStreamEngine
-from repro.core.runtime import BatchedBackend, VectorizedBackend
+from repro.core.runtime import VectorizedBackend
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
 
 HEADERS = ["configuration", "seconds", "million events/s", "speedup vs serial-unfused"]
 
-#: Batch factor: each batched dispatch covers 16 one-second windows.
-BATCH_WINDOWS = 16
-#: The acceptance threshold from the refactor issue.
-REQUIRED_SPEEDUP = 1.3
 #: The acceptance threshold for run-lowered execution: the vectorized
 #: backend must beat unfused serial execution by at least this factor on
 #: the same workload, with bit-identical outputs in both execution modes.
@@ -54,25 +49,23 @@ def _compiled_queries(sources):
     serial_unfused = LifeStreamEngine(
         window_size=TICKS_PER_SECOND, optimization_level=0
     ).compile(query, sources)
-    batched_fused = LifeStreamEngine(
-        window_size=TICKS_PER_SECOND,
-        optimization_level=2,
-        backend=BatchedBackend(batch_windows=BATCH_WINDOWS),
+    serial_fused = LifeStreamEngine(
+        window_size=TICKS_PER_SECOND, optimization_level=2
     ).compile(query, sources)
     vectorized = LifeStreamEngine(
         window_size=TICKS_PER_SECOND,
         optimization_level=2,
         backend=VectorizedBackend(),
     ).compile(query, sources)
-    return serial_unfused, batched_fused, vectorized
+    return serial_unfused, serial_fused, vectorized
 
 
 def test_outputs_bit_identical(benchmark, workload):
     sources, _ = workload
-    serial_unfused, batched_fused, _ = _compiled_queries(sources)
+    serial_unfused, serial_fused, _ = _compiled_queries(sources)
 
     def run():
-        return serial_unfused.run(), batched_fused.run()
+        return serial_unfused.run(), serial_fused.run()
 
     _, (reference, candidate) = timed_benchmark(benchmark, run)
     np.testing.assert_array_equal(reference.times, candidate.times)
@@ -105,46 +98,6 @@ def test_vectorized_bit_identical_targeted_and_eager(benchmark, workload):
         )
 
 
-def test_batched_fused_speedup(benchmark, report_registry, workload):
-    sources, events = workload
-    serial_unfused, batched_fused, _ = _compiled_queries(sources)
-    # Warm both paths (the batched backend compiles its widened twin on
-    # first use; that cost is per-compile, not per-run).
-    serial_unfused.run()
-    batched_fused.run()
-
-    def measure_once(repeat):
-        return compare_backends(
-            "fig9c end-to-end (hold resample, 1 s windows)",
-            lambda compiled: compiled.run(),
-            {"serial-unfused": serial_unfused, "batched-fused": batched_fused},
-            repeat=repeat,
-            events=events,
-        )
-
-    _, comparison = timed_benchmark(benchmark, lambda: measure_once(5))
-    speedup = comparison.speedup("batched-fused", "serial-unfused")
-    if speedup < REQUIRED_SPEEDUP:
-        # One retry with more trials to shed scheduler noise before failing.
-        comparison = measure_once(9)
-        speedup = comparison.speedup("batched-fused", "serial-unfused")
-
-    report = get_report(
-        report_registry,
-        "backend_speedup",
-        "Execution backends — Figure 9(c) workload, batched+fused vs serial",
-        HEADERS,
-    )
-    for name, seconds, throughput in comparison.as_rows():
-        row_speedup = comparison.speedup(name, "serial-unfused")
-        report.record((name,), [name, seconds, throughput, row_speedup])
-    report.note(
-        f"batched({BATCH_WINDOWS})+fusion is {speedup:.2f}x serial-unfused "
-        f"(required: >= {REQUIRED_SPEEDUP}x), outputs bit-identical."
-    )
-    assert speedup >= REQUIRED_SPEEDUP
-
-
 def test_vectorized_speedup(benchmark, report_registry, workload):
     sources, events = workload
     serial_unfused, _, vectorized = _compiled_queries(sources)
@@ -172,7 +125,7 @@ def test_vectorized_speedup(benchmark, report_registry, workload):
     report = get_report(
         report_registry,
         "backend_speedup",
-        "Execution backends — Figure 9(c) workload, batched+fused vs serial",
+        "Execution backends — Figure 9(c) workload, vectorized vs serial",
         HEADERS,
     )
     for name, seconds, throughput in comparison.as_rows():

@@ -4,24 +4,26 @@ Paper result (32-core m5a.8xlarge): LifeStream scales to 32 threads and
 peaks ~6× above Trill and ~1.9× above NumLib; Trill crashes with OOM beyond
 12 threads; NumLib saturates around 24 threads.
 
-The reproduction (i) measures real data-parallel execution over a small
-patient cohort for the worker counts that fit a laptop, (ii) measures real
-*window-sharded* execution of the Figure 3 pipeline through the engine's
-MultiprocessBackend for 1–4 workers (intra-query parallelism, the closest
-analogue of the paper's per-machine thread scaling), and (iii) calibrates
+The reproduction (i) measures real patient-parallel execution of the
+Figure 3 pipeline over a small cohort — the parallelism the paper scales —
+at every worker count in ``MEASURED_WORKER_COUNTS``, and (ii) calibrates
 the analytic per-engine scaling model with the measured single-worker
 throughput to reproduce the full 1–48 thread curves (the documented
-substitution for the 32-core machine).
+substitution for the 32-core machine; those rows are labelled
+"modelled").  Measured rows depend on the host's CPU count, which the
+report notes: on a host with fewer CPUs than workers the measured curve
+flattens, which is the honest result.
 """
+
+import os
 
 import pytest
 
 from benchmarks.conftest import get_report, timed_benchmark
-from repro.bench.workloads import e2e_dataset, scaling_cohort
+from repro.bench.workloads import scaling_cohort
 from repro.scaling import (
     MEASURED_WORKER_COUNTS,
     ScalingModel,
-    measure_multicore_lifestream,
     measure_single_worker_throughput,
     run_data_parallel,
 )
@@ -46,46 +48,32 @@ def single_worker_throughputs(cohort):
 
 def _report(registry):
     return get_report(
-        registry, "fig10c_multicore", "Figure 10(c) — multi-core scaling (modelled curves)", HEADERS
+        registry,
+        "fig10c_multicore",
+        "Figure 10(c) — multi-core scaling (measured patient-parallel, modelled curves)",
+        HEADERS,
     )
 
 
-@pytest.mark.parametrize("workers", [1])
+@pytest.mark.parametrize("workers", MEASURED_WORKER_COUNTS)
 def test_real_data_parallel_lifestream(benchmark, report_registry, cohort, workers):
-    """Real multiprocessing execution for the worker counts that fit a laptop."""
+    """Real patient-parallel execution: one patient per pool task."""
     seconds, point = timed_benchmark(
         benchmark, lambda: run_data_parallel("lifestream", cohort, n_workers=workers)
     )
     report = _report(report_registry)
+    label = "lifestream (measured, patient-parallel)"
     report.record(
-        ("lifestream (measured)", workers),
-        ["lifestream (measured)", workers, point.throughput_events_per_second / 1e6, False],
+        (label, workers),
+        [label, workers, point.throughput_events_per_second / 1e6, False],
     )
-    assert point.throughput_events_per_second > 0
-
-
-def test_measured_window_sharded_lifestream(benchmark, report_registry):
-    """Real Figure 10(c) points: MultiprocessBackend shards output windows.
-
-    Every point is a genuine measurement on the host; on boxes with fewer
-    cores than workers the curve is flat, which is the honest result (the
-    modelled curves below remain the substitute for the paper's machine).
-    """
-    ecg, abp = e2e_dataset(duration_seconds=120.0, seed=10)
-
-    _, result = timed_benchmark(
-        benchmark,
-        lambda: measure_multicore_lifestream(ecg, abp, worker_counts=MEASURED_WORKER_COUNTS),
-    )
-    report = _report(report_registry)
-    for point in result.points:
-        label = "lifestream (measured, window-sharded)"
-        report.record(
-            (label, point.workers),
-            [label, point.workers, point.throughput_events_per_second / 1e6, point.failed],
+    if workers == MEASURED_WORKER_COUNTS[0]:
+        report.note(
+            f"Measured rows ran on a host with {os.cpu_count()} CPU(s), "
+            f"{len(cohort)} patients; worker counts above that CPU count "
+            "cannot scale."
         )
-    assert len(result.points) == len(MEASURED_WORKER_COUNTS)
-    assert all(point.throughput_events_per_second > 0 for point in result.points)
+    assert point.throughput_events_per_second > 0
 
 
 @pytest.mark.parametrize("engine", ["lifestream", "trill", "numlib"])
@@ -99,10 +87,11 @@ def test_modelled_scaling_curve(benchmark, report_registry, single_worker_throug
 
     seconds, curve = timed_benchmark(benchmark, run)
     report = _report(report_registry)
+    label = f"{engine} (modelled)"
     for point in curve.points:
         report.record(
-            (engine, point.workers),
-            [engine, point.workers, point.throughput_events_per_second / 1e6, point.failed],
+            (label, point.workers),
+            [label, point.workers, point.throughput_events_per_second / 1e6, point.failed],
         )
 
 

@@ -21,7 +21,6 @@ The package is organised as:
 
 from repro.core import (
     ArraySource,
-    BatchedBackend,
     CompiledQuery,
     CsvSource,
     Event,
@@ -30,7 +29,6 @@ from repro.core import (
     IntervalSet,
     LifeStreamEngine,
     LinearTimeMap,
-    MultiprocessBackend,
     Query,
     ReplaySource,
     SerialBackend,
@@ -70,8 +68,6 @@ __all__ = [
     "TickStats",
     "ExecutionBackend",
     "SerialBackend",
-    "BatchedBackend",
-    "MultiprocessBackend",
     "VectorizedBackend",
     "recommend_backend",
     "StreamingService",

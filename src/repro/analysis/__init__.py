@@ -11,9 +11,9 @@ Three analyzers, one diagnostic vocabulary:
   ``strict=True`` compile mode.
 - :mod:`repro.analysis.contracts` — registry-driven conformance checking of
   every :class:`~repro.core.operators.base.Operator` subclass: ``batch_safe``
-  claims, ``compute_run`` parity, ``snapshot_state`` round trips and
-  ``warmup_windows`` sufficiency, validated by executing synthesized
-  geometries instead of trusting declarations.
+  claims, ``compute_run`` parity and ``snapshot_state`` round trips,
+  validated by executing synthesized geometries instead of trusting
+  declarations.
 - :mod:`repro.analysis.async_lint` — an AST linter over the asyncio ingest
   tier catching blocking calls inside ``async def``, unawaited coroutines
   and unbounded queue constructions.

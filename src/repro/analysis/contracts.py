@@ -2,20 +2,20 @@
 
 Every :class:`~repro.core.operators.base.Operator` makes compile-time
 *claims* the runtime trusts without checking: ``batch_safe`` promises
-window-widening invariance (the batched backend widens on its word),
-``compute_run`` promises bit-identity with per-window ``compute`` (the
-vectorized backend dispatches it on its word), ``snapshot_state`` promises
-a complete deep copy (checkpoints and failover restore on its word), and
-``warmup_windows`` promises that replaying that many windows rebuilds
-mid-stream state (sharded workers replay exactly that much).
+window-widening invariance (the vectorized backend's run buffers are
+widened windows), ``compute_run`` promises bit-identity with per-window
+``compute`` (the vectorized backend dispatches it on its word), and
+``snapshot_state`` promises a complete deep copy (checkpoints and failover
+restore on its word).
 
 This module validates those claims *by execution on synthesized
 geometries* instead of trusting them, so a wrong declaration becomes a
-named diagnostic (``LS201``–``LS206``) instead of a bit-identity failure
-three layers away.  Checking is registry-driven: :func:`builtin_cases`
-holds one :class:`OperatorCase` per in-repo operator, and
-:func:`check_contracts` additionally discovers every ``Operator`` subclass
-so an operator without a case is itself reported (``LS207``).
+named diagnostic (``LS201``–``LS203``, ``LS205``, ``LS206``) instead of a
+bit-identity failure three layers away.  Checking is registry-driven:
+:func:`builtin_cases` holds one :class:`OperatorCase` per in-repo
+operator, and :func:`check_contracts` additionally discovers every
+``Operator`` subclass so an operator without a case is itself reported
+(``LS207``).
 """
 
 from __future__ import annotations
@@ -30,16 +30,8 @@ from repro.core.compiler import CompiledPlan, compile_plan
 from repro.core.graph import OperatorNode, topological_order
 from repro.core.operators import Operator
 from repro.core.query import Query
-from repro.core.runtime.backends import (
-    VectorizedBackend,
-    plan_batch_safe,
-    plan_warmup_windows,
-)
-from repro.core.runtime.executor import (
-    _window_starts,
-    collect_sink_window,
-    execute_plan,
-)
+from repro.core.runtime.backends import VectorizedBackend
+from repro.core.runtime.executor import _window_starts, execute_plan, fill_windows
 from repro.core.runtime.vectorized import plan_vector_info
 from repro.core.sources import ArraySource, StreamSource
 
@@ -49,7 +41,7 @@ class OperatorCase:
     """One registered conformance case: an operator in a runnable plan.
 
     ``build`` returns a fresh ``(query, sources)`` pair each call — the
-    checks compile the plan several times (reference, widened twin,
+    checks compile the plan several times (reference, widened plan,
     restored continuation) and each compile must start from pristine
     state.  ``window_size`` must satisfy every dimension constraint of the
     built plan.
@@ -113,14 +105,10 @@ def _compile(case: OperatorCase, widen: int = 1) -> CompiledPlan:
 
 def _drive(plan: CompiledPlan, starts, collect: bool = False):
     """Fill *starts* in order without resetting, optionally collecting events."""
-    sink = plan.sink
     times: list[np.ndarray] = []
     values: list[np.ndarray] = []
     durations: list[np.ndarray] = []
-    for start in starts:
-        sink.fill(start)
-        if collect:
-            collect_sink_window(sink, times, values, durations)
+    fill_windows(plan.sink, starts, times, values, durations, collect)
     if not collect:
         return None
     if times:
@@ -140,6 +128,16 @@ def _fresh(plan: CompiledPlan) -> CompiledPlan:
 
 def _operator_nodes(plan: CompiledPlan) -> list[OperatorNode]:
     return [n for n in topological_order(plan.sink) if isinstance(n, OperatorNode)]
+
+
+def plan_batch_safe(plan: CompiledPlan) -> bool:
+    """True when every operator of *plan* declares widening invariance
+    (:meth:`~repro.core.operators.base.Operator.batch_safe` on its actual
+    input descriptors)."""
+    return all(
+        node.operator.batch_safe([inp.descriptor for inp in node.inputs])
+        for node in _operator_nodes(plan)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +160,8 @@ def _check_batch_safety(case: OperatorCase, out: list[Diagnostic]) -> None:
                 f"{case.name} declares batch_safe=True but widening the "
                 f"window {case.widen_factor}x changed its output "
                 f"({reference[0].size} vs {widened[0].size} events); the "
-                "batched backend would silently corrupt results",
+                "vectorized backend's run buffers would silently corrupt "
+                "results",
                 anchor=case.name,
             )
         )
@@ -208,12 +207,12 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
             return
 
 
-def _split_starts(plan: CompiledPlan, minimum: int = 6):
+def _split_starts(plan: CompiledPlan):
     starts = _window_starts(plan, targeted=True)
-    if len(starts) < minimum:
+    if len(starts) < 6:
         raise ValueError(
             f"synthesized geometry yields only {len(starts)} windows; "
-            f"state checks need at least {minimum} — widen the sources"
+            f"state checks need at least 6 — widen the sources"
         )
     return starts, len(starts) // 2
 
@@ -274,32 +273,6 @@ def _check_state_roundtrip(case: OperatorCase, out: list[Diagnostic]) -> None:
         )
 
 
-def _check_warmup(case: OperatorCase, out: list[Diagnostic]) -> None:
-    """Validate that the declared ``warmup_windows`` rebuilds mid-stream state."""
-    plan = _fresh(_compile(case))
-    warmup = plan_warmup_windows(plan)
-    starts, split = _split_starts(plan, minimum=max(6, warmup + 3))
-    split = max(split, warmup)
-    _drive(plan, starts[:split])
-    reference_tail = _drive(plan, starts[split:], collect=True)
-
-    resumed = _fresh(_compile(case))
-    _drive(resumed, starts[split - warmup : split])
-    resumed_tail = _drive(resumed, starts[split:], collect=True)
-    if not _same_events(reference_tail, resumed_tail):
-        out.append(
-            _contract(
-                "LS204",
-                "error",
-                f"{case.name} declares {warmup} warmup window(s) but "
-                f"replaying them mid-stream does not rebuild its state "
-                f"({reference_tail[0].size} vs {resumed_tail[0].size} "
-                "events); sharded execution would silently corrupt results",
-                anchor=case.name,
-            )
-        )
-
-
 def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
     """Run every contract check for one registered case."""
     diagnostics: list[Diagnostic] = []
@@ -307,7 +280,6 @@ def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
         _check_batch_safety,
         _check_run_parity,
         _check_state_roundtrip,
-        _check_warmup,
     ):
         try:
             check(case, diagnostics)

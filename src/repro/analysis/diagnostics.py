@@ -20,6 +20,11 @@ from dataclasses import dataclass, field
 #: surfacing (e.g. why the vectorized backend will fall back).
 SEVERITIES = ("error", "warning", "info")
 
+#: Codes withdrawn together with the feature they checked; a retired code is
+#: never reassigned.  LS204 checked warm-up window sufficiency for the
+#: window-sharded backend.
+RETIRED_CODES = frozenset({"LS204"})
+
 #: Every stable diagnostic code, with its one-line meaning.  LS1xx are plan
 #: verifier findings, LS2xx operator-contract findings, LS3xx async-safety
 #: findings, LS4xx LSQL parse/resolve findings (anchored ``file:line:col``).
@@ -50,8 +55,6 @@ CODES: dict[str, str] = {
     "with per-window compute on the same geometry",
     "LS203": "snapshot/restore round-trip failure: restored state does not "
     "reproduce the stream, or mutable state escaped the snapshot",
-    "LS204": "warmup_windows insufficiency: replaying the declared warmup "
-    "does not rebuild mid-stream state",
     "LS205": "conformance harness failure: the operator raised while its "
     "contract was being checked",
     "LS206": "batch_safe under-claim: the operator declares itself "

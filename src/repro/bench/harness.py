@@ -110,7 +110,7 @@ def compare_backends(
     query bound to one) and runs the workload with it; the median of
     *repeat* trials is recorded per backend.  The returned
     :class:`Comparison` exposes ``speedup(fast, slow)`` — this is how the
-    backend benchmarks quantify batched/fused execution against the serial
+    backend benchmarks quantify run-lowered execution against the serial
     reference.
     """
     comparison = Comparison(workload=workload)

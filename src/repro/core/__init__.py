@@ -16,9 +16,7 @@ from repro.core.fwindow import FWindow
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query
 from repro.core.runtime.backends import (
-    BatchedBackend,
     ExecutionBackend,
-    MultiprocessBackend,
     SerialBackend,
     VectorizedBackend,
     recommend_backend,
@@ -48,8 +46,6 @@ __all__ = [
     "TickStats",
     "ExecutionBackend",
     "SerialBackend",
-    "BatchedBackend",
-    "MultiprocessBackend",
     "VectorizedBackend",
     "recommend_backend",
     "StreamSource",

@@ -145,11 +145,6 @@ class CompiledPlan:
     pass_timings: list[PassTiming] = field(default_factory=list)
     #: Free-form per-pass facts (e.g. fusion statistics).
     pass_metadata: dict = field(default_factory=dict)
-    #: The query and bound sources the plan was compiled from.  Execution
-    #: backends that need a re-shaped twin of the plan (e.g. the batched
-    #: backend's widened windows) recompile from these.
-    query: Query | None = None
-    sources: dict[str, StreamSource] | None = None
     tracer: object = None
     optimization_level: int = MAX_OPTIMIZATION_LEVEL
     #: Profile-derived overrides the plan was compiled with (None when the
@@ -231,11 +226,6 @@ class CompiledPlan:
                 f"{sorted(n.name for n in sink.iter_nodes() if isinstance(n, SourceNode))})"
             )
         coverage = propagate_coverage(sink)
-        bound = {
-            node.name: node.source
-            for node in sink.iter_nodes()
-            if isinstance(node, SourceNode)
-        }
         return CompiledPlan(
             sink=sink,
             window_size=self.window_size,
@@ -245,8 +235,6 @@ class CompiledPlan:
             output_coverage=coverage,
             pass_timings=self.pass_timings,
             pass_metadata=self.pass_metadata,
-            query=self.query,
-            sources=bound,
             tracer=self.tracer,
             optimization_level=self.optimization_level,
             hints=self.hints,
@@ -341,8 +329,6 @@ def compile_plan(
         output_coverage=ctx.coverage,
         pass_timings=timings,
         pass_metadata=ctx.metadata,
-        query=query,
-        sources=sources,
         tracer=tracer,
         optimization_level=optimization_level,
         hints=hints,

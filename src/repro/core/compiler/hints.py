@@ -1,12 +1,12 @@
 """Profile-derived compilation hints.
 
-Compilation normally fixes every tunable — batching width, fusion
-boundaries, the vectorized run cap, targeted-vs-eager enumeration, the
-execution backend — once, from static heuristics, before a single window
-has run.  :class:`CompileHints` is the feedback path back into the
-compiler: a small, immutable record of the choices a runtime profile
-(:class:`~repro.core.runtime.profile.PlanProfile`) recommends, threaded
-through :func:`~repro.core.compiler.compile_plan` into the pass pipeline.
+Compilation normally fixes every tunable — fusion boundaries, the
+vectorized run cap, the execution backend — once, from static heuristics,
+before a single window has run.  :class:`CompileHints` is the feedback
+path back into the compiler: a small, immutable record of the choices a
+runtime profile (:class:`~repro.core.runtime.profile.PlanProfile`)
+recommends, threaded through :func:`~repro.core.compiler.compile_plan`
+into the pass pipeline.
 
 Hints are *advisory*: every field defaults to ``None`` ("keep the static
 decision"), each pass consumes only the fields it understands, and a plan
@@ -32,14 +32,10 @@ class CompileHints:
     static default for that decision.
     """
 
-    #: Windows per dispatch for the batched backend's widened twin.
-    batch_windows: int | None = None
     #: Cap on windows per contiguous run buffer for the vectorized backend.
     max_run_windows: int | None = None
     #: Cut fused element-wise chains at this many stages (fusion boundary).
     max_fusion_length: int | None = None
-    #: Enumerate output windows from coverage (True) or the eager span (False).
-    targeted: bool | None = None
     #: Execution backend name the profile recommends (informational; the
     #: serving layer builds the backend via ``recommend_backend``).
     backend: str | None = None
@@ -47,12 +43,10 @@ class CompileHints:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        for field_name in ("batch_windows", "max_run_windows", "max_fusion_length"):
-            value = getattr(self, field_name)
-            if value is not None and value < 1:
-                raise CompilationError(
-                    f"hint {field_name} must be positive, got {value}"
-                )
+        if self.max_run_windows is not None and self.max_run_windows < 1:
+            raise CompilationError(
+                f"hint max_run_windows must be positive, got {self.max_run_windows}"
+            )
         if self.max_fusion_length is not None and self.max_fusion_length < 2:
             raise CompilationError(
                 f"hint max_fusion_length must be at least 2 (a fused chain "
@@ -65,10 +59,8 @@ class CompileHints:
         template in the plan cache)."""
         return (
             "compile-hints",
-            self.batch_windows,
             self.max_run_windows,
             self.max_fusion_length,
-            self.targeted,
             self.backend,
         )
 
@@ -77,12 +69,8 @@ class CompileHints:
         parts = []
         if self.backend is not None:
             parts.append(f"backend={self.backend}")
-        if self.batch_windows is not None:
-            parts.append(f"batch_windows={self.batch_windows}")
         if self.max_run_windows is not None:
             parts.append(f"max_run_windows={self.max_run_windows}")
         if self.max_fusion_length is not None:
             parts.append(f"max_fusion_length={self.max_fusion_length}")
-        if self.targeted is not None:
-            parts.append(f"targeted={self.targeted}")
         return ", ".join(parts) if parts else "no overrides"

@@ -18,12 +18,12 @@ Typical use::
     engine = LifeStreamEngine()
     result = engine.run(query, sources={"ecg": ecg})
 
-Scaling the same query up is a constructor argument away::
+Run-lowered execution of the same query is a constructor argument away;
+the serial backend stays the default and the reference semantics::
 
-    from repro.core.runtime import BatchedBackend, MultiprocessBackend
+    from repro.core.runtime import VectorizedBackend
 
-    engine = LifeStreamEngine(backend=BatchedBackend(batch_windows=16))
-    engine = LifeStreamEngine(backend=MultiprocessBackend(n_workers=4))
+    engine = LifeStreamEngine(backend=VectorizedBackend())
 """
 
 from __future__ import annotations

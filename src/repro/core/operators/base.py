@@ -108,30 +108,22 @@ class Operator:
     def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
         """Whether per-window output is invariant to widening the FWindow.
 
-        The batched execution backend replaces N consecutive windows of
-        dimension D with one window of dimension N*D.  That is only exact
+        The vectorized backend's run buffer is a widened window: a run of N
+        consecutive windows of dimension D is one buffer of dimension N*D,
+        and a lowered operator computes it in one call.  That is only exact
         for operators whose window boundaries are semantically invisible —
         true for element-wise ops, chunk-local transforms, stride-aligned
         aggregates and carry-correct joins, but **not** for operators whose
         output near a boundary depends on how much of the stream the window
         exposes (boundary-clamped interpolation, successor lookups, matching
         normalised against the window's value range).  Those return False
-        and force the batched backend to fall back to serial execution.
+        and run window-by-window inside each run
+        (:func:`~repro.core.runtime.vectorized.node_lowerable`); the
+        ``LS201`` contract check validates the claim by widened execution.
         """
         return True
 
     # -- runtime interface --------------------------------------------------
-
-    def warmup_windows(self, dimension: int) -> int:
-        """Windows of history needed to rebuild this operator's state.
-
-        Execution backends that start mid-stream (a sharded worker, a
-        resumed range) replay this many preceding windows, discarding their
-        output, so the operator's cross-window state matches a run from the
-        beginning.  Stateless operators need none; the default for stateful
-        operators is one window (a single carried event, Section 6.3).
-        """
-        return 1 if self.stateful else 0
 
     def make_state(self):
         """Create the operator's constant-size cross-window state (or None)."""
@@ -190,8 +182,8 @@ class WindowAgnosticRun:
     """Mixin for operators whose ``compute`` never inspects window extent.
 
     Batch-safe operators compute the same per-slot output whatever the
-    FWindow dimension (the invariant the batched backend's parity suite
-    proves), so a run buffer of N consecutive windows is just one wider
+    FWindow dimension (the invariant the ``LS201`` contract check
+    validates), so a run buffer of N consecutive windows is just one wider
     window to them: ``compute_run`` is a single ``compute`` call over the
     whole run.  Stateful members of these families (Shift carries, sliding
     tails, join/chop carries) remain exact because their state transition is

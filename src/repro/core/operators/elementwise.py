@@ -119,13 +119,6 @@ class Shift(WindowAgnosticRun, Operator):
             return shifted.dilate(self.offset, 0)
         return shifted
 
-    def warmup_windows(self, dimension: int) -> int:
-        # The carry holds the last ``offset`` ticks of input, which may span
-        # several windows when the shift exceeds the FWindow dimension.
-        if self.offset <= 0:
-            return 0
-        return -(-self.offset // dimension)
-
     def make_state(self):
         return {"carry_values": None, "carry_bits": None, "carry_durations": None}
 

@@ -1,13 +1,9 @@
 """Runtime: plan execution, pluggable backends, and results."""
 
 from repro.core.runtime.backends import (
-    BatchedBackend,
     ExecutionBackend,
-    MultiprocessBackend,
     SerialBackend,
     VectorizedBackend,
-    plan_batch_safe,
-    plan_warmup_windows,
     recommend_backend,
 )
 from repro.core.runtime.executor import eager_window_count, execute_plan, run_window_loop
@@ -27,11 +23,7 @@ __all__ = [
     "PlanProfile",
     "ExecutionBackend",
     "SerialBackend",
-    "BatchedBackend",
-    "MultiprocessBackend",
     "VectorizedBackend",
-    "plan_batch_safe",
-    "plan_warmup_windows",
     "recommend_backend",
     "runs_for_coverage",
     "runs_for_starts",

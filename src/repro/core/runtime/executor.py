@@ -15,9 +15,9 @@ the union of the sources' data spans is processed, whether or not it can
 produce output.  Eager mode exists for the ablation study (Figure 10(a))
 and for tests that check both modes produce identical results.
 
-This module provides the window-loop machinery; *how* the loop is driven
-(serially, in widened batches, or sharded across processes) is the job of
-the pluggable :mod:`~repro.core.runtime.backends`.
+This module holds the serial window loop, the reference semantics; the
+pluggable :mod:`~repro.core.runtime.backends` choose between it and
+run-lowered execution.
 """
 
 from __future__ import annotations
@@ -117,25 +117,40 @@ def collect_sink_window(
     return int(indices.size)
 
 
+def fill_windows(
+    sink,
+    starts: Sequence[int],
+    times: list[np.ndarray],
+    values: list[np.ndarray],
+    durations: list[np.ndarray],
+    collect: bool = True,
+) -> int:
+    """Slide the sink through *starts* one window at a time.
+
+    The serial window loop: one-shot runs and streaming-session ticks both
+    drive their windows through here.  Appends each window's present
+    events to the columnar accumulators when *collect* is set and returns
+    the number appended.
+    """
+    events = 0
+    for start in starts:
+        sink.fill(start)
+        if collect:
+            events += collect_sink_window(sink, times, values, durations)
+    return events
+
+
 def run_window_loop(
     plan: CompiledPlan,
     starts: Sequence[int],
     collect: bool = True,
-    warmup_starts: Sequence[int] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """Drive the sink through *starts*, returning the collected columns.
+    """Reset the plan's runtime state and drive the sink through *starts*.
 
-    The plan's runtime state is reset first.  ``warmup_starts`` are executed
-    before the collected range with their output discarded — backends that
-    enter the stream mid-way (sharded workers) use this to rebuild stateful
-    operators' carries exactly as a from-the-start run would have.
-
-    Returns ``(times, values, durations, elapsed_seconds, windows_run)``
-    where ``windows_run`` counts only the collected (non-warm-up) windows.
+    Returns ``(times, values, durations, elapsed_seconds, windows_run)``.
     """
     sink = plan.sink
-    nodes = topological_order(sink)
-    for node in nodes:
+    for node in topological_order(sink):
         node.reset()
 
     collected_times: list[np.ndarray] = []
@@ -143,12 +158,7 @@ def run_window_loop(
     collected_durations: list[np.ndarray] = []
 
     began = time.perf_counter()
-    for start in warmup_starts:
-        sink.fill(start)
-    for start in starts:
-        sink.fill(start)
-        if collect:
-            collect_sink_window(sink, collected_times, collected_values, collected_durations)
+    fill_windows(sink, starts, collected_times, collected_values, collected_durations, collect)
     elapsed = time.perf_counter() - began
 
     if collected_times:
@@ -202,8 +212,8 @@ def execute_plan(
     windows are still fully computed); benchmarks that only measure engine
     throughput use this to keep result accumulation out of the measurement.
 
-    ``backend`` selects the execution strategy; ``None`` uses the serial
-    backend (the engine's historical semantics).
+    ``backend`` selects the execution strategy; ``None`` runs the serial
+    window loop (the reference semantics).
     """
     if backend is not None:
         return backend.execute(plan, targeted=targeted, collect=collect)

@@ -48,7 +48,8 @@ import numpy as np
 from repro.core.compiler.lineage import propagate_coverage
 from repro.core.graph import OperatorNode, SourceNode, topological_order
 from repro.core.intervals import IntervalSet
-from repro.core.runtime.executor import _eager_span, collect_sink_window, eager_window_count
+from repro.core.runtime.backends import VectorizedBackend, plan_lowers
+from repro.core.runtime.executor import _eager_span, eager_window_count, fill_windows
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.sources import ReplaySource
 from repro.errors import ExecutionError
@@ -66,8 +67,8 @@ class TickStats:
 
     ``plan_seconds`` covers the per-tick compile-side work (coverage
     refresh, frontier computation, readiness gating); ``execute_seconds``
-    the backend window loop.  Profile-guided adaptation reads these to tune
-    batch sizing from observed tick profiles.
+    the backend window loop.  Profile-guided adaptation reads these to
+    choose the backend and size its run cap from observed tick profiles.
     """
 
     #: 1-based tick index within the session.
@@ -126,19 +127,16 @@ class StreamingSession:
         use_backend = compiled.backend if backend is None else backend
         self._backend = use_backend
         self._backend_name = getattr(use_backend, "name", "serial")
-        self._plan = (
-            compiled.plan if use_backend is None else use_backend.session_plan(compiled.plan)
+        self._plan = compiled.plan
+        # Ticks run as window runs only on the vectorized backend, and only
+        # when the plan lowers; every other case drives the serial window
+        # loop, and the stats must say so.
+        self._run_backend = (
+            use_backend
+            if isinstance(use_backend, VectorizedBackend) and plan_lowers(self._plan)
+            else None
         )
-        # The mode that really drives the ticks: a batched backend whose plan
-        # is not batch-safe hands back the original plan and the session runs
-        # it one window at a time — the stats must say "serial", not
-        # "batched"; the vectorized backend keeps the original plan but runs
-        # its ticks as window runs.  Each backend knows which case applies.
-        self._execution_mode = (
-            use_backend.session_execution_mode(compiled.plan, self._plan)
-            if use_backend is not None
-            else "serial"
-        )
+        self._execution_mode = "serial" if self._run_backend is None else self._run_backend.name
         self._targeted = compiled.targeted if targeted is None else targeted
         self._nodes = topological_order(self._plan.sink)
         self._operator_nodes = [n for n in self._nodes if isinstance(n, OperatorNode)]
@@ -151,6 +149,7 @@ class StreamingSession:
         self._collected_values: list[np.ndarray] = []
         self._collected_durations: list[np.ndarray] = []
         self._windows_run = 0
+        self._events_emitted = 0
         self._ticks: list[TickStats] = []
         self._finished = False
         self._closed = False
@@ -325,30 +324,19 @@ class StreamingSession:
                 break
         planned = time.perf_counter()
 
-        if self._backend is not None:
-            events, fell_back = self._backend.session_tick(
-                self._plan,
-                ready,
-                self._collected_times,
-                self._collected_values,
-                self._collected_durations,
-            )
+        accumulators = (self._collected_times, self._collected_values, self._collected_durations)
+        if self._run_backend is not None:
+            events, fell_back = self._run_backend.execute_starts(self._plan, ready, *accumulators)
             if fell_back and not self._execution_mode.endswith("+serial-fallback"):
                 self._execution_mode = f"{self._execution_mode}+serial-fallback"
         else:
-            sink = self._plan.sink
-            events = 0
-            for start in ready:
-                sink.fill(start)
-                events += collect_sink_window(
-                    sink, self._collected_times, self._collected_values,
-                    self._collected_durations,
-                )
+            events = fill_windows(self._plan.sink, ready, *accumulators)
         executed = time.perf_counter()
 
         if ready:
             self._last_start = ready[-1]
         self._windows_run += len(ready)
+        self._events_emitted += events
         dimension = self._plan.sink.dimension
         window_runs = sum(
             1
@@ -365,7 +353,7 @@ class StreamingSession:
             execute_seconds=executed - planned,
             backend=self._backend_name,
             cumulative_windows=self._windows_run,
-            cumulative_events=sum(t.size for t in self._collected_times),
+            cumulative_events=self._events_emitted,
             window_runs=window_runs,
             execution_mode=self._execution_mode,
         )
@@ -414,7 +402,7 @@ class StreamingSession:
             execute_seconds=0.0,
             backend=self._backend_name,
             cumulative_windows=self._windows_run,
-            cumulative_events=sum(t.size for t in self._collected_times),
+            cumulative_events=self._events_emitted,
             window_runs=0,
             execution_mode=self._execution_mode,
         )
@@ -625,16 +613,16 @@ class StreamingSession:
     def _apply_checkpoint(self, checkpoint: dict | str | Path) -> None:
         if not isinstance(checkpoint, dict):
             path = checkpoint
-            try:
-                with open(path, "rb") as handle:
+            with open(path, "rb") as handle:
+                try:
                     checkpoint = pickle.load(handle)
-            except (EOFError, pickle.UnpicklingError, AttributeError, ValueError) as exc:
-                raise ExecutionError(
-                    f"checkpoint file {path} is truncated or corrupt "
-                    f"({type(exc).__name__}: {exc}); it cannot be restored — "
-                    f"checkpoints are written atomically, so this file was not "
-                    f"produced by StreamingSession.checkpoint()"
-                ) from exc
+                except Exception as exc:  # noqa: BLE001 - a corrupt pickle can raise anything
+                    raise ExecutionError(
+                        f"checkpoint file {path} is truncated or corrupt "
+                        f"({type(exc).__name__}: {exc}); it cannot be restored — "
+                        f"checkpoints are written atomically, so this file was not "
+                        f"produced by StreamingSession.checkpoint()"
+                    ) from exc
             if not isinstance(checkpoint, dict):
                 raise ExecutionError(
                     f"checkpoint file {path} does not hold a checkpoint dict "
@@ -645,6 +633,15 @@ class StreamingSession:
                 f"unrecognised checkpoint format {checkpoint.get('format')!r}; "
                 f"expected {CHECKPOINT_FORMAT!r}"
             )
+        try:
+            self._restore_checkpoint(checkpoint)
+        except KeyError as exc:
+            raise ExecutionError(
+                f"checkpoint is missing required field {exc}; it was not "
+                f"produced by StreamingSession.checkpoint()"
+            ) from exc
+
+    def _restore_checkpoint(self, checkpoint: dict) -> None:
         for field, actual in (
             ("targeted", self._targeted),
             ("backend", self._backend_name),
@@ -681,6 +678,7 @@ class StreamingSession:
         self._windows_run = checkpoint["windows_run"]
         self._finished = checkpoint["finished"]
         emitted = checkpoint["emitted"]
+        self._events_emitted = int(emitted["times"].size)
         if emitted["times"].size:
             self._collected_times = [np.asarray(emitted["times"], dtype=np.int64)]
             self._collected_values = [np.asarray(emitted["values"], dtype=np.float64)]
@@ -705,17 +703,16 @@ class StreamingSession:
         the swap is bit-identical to a never-swapped session.
 
         Unlike checkpoint restore, the new plan may differ in backend,
-        targeted mode, fusion cuts or batch geometry; only two things must
+        targeted mode, fusion cuts or window geometry; only two things must
         hold, and both are checked:
 
         * **frontier alignment** — the emitted-through time must land on the
           new sink's window grid, or the new session would re-emit or skip a
-          partial window.  A batched twin widens the sink dimension, so a
-          swap *onto* a twin only succeeds at every ``batch_windows``-th
-          boundary; a misaligned swap raises
+          partial window.  A plan compiled at a wider window size only
+          accepts a swap at the boundaries its coarser grid shares with the
+          old one; a misaligned swap raises
           :class:`~repro.errors.ExecutionError` and the caller simply
-          retries at a later tick.  (This method always sees the session's
-          *runtime* plan, so swapping off a twin is always aligned.)
+          retries at a later tick.
         * **matching operator state units** — carries are transplanted
           operator-by-operator (fused chains flattened to their stages, so
           different fusion cuts still line up); a mismatch means the plans
@@ -736,6 +733,7 @@ class StreamingSession:
                 else self._last_start + self._plan.sink.dimension
             ),
             "windows_run": self._windows_run,
+            "events_emitted": self._events_emitted,
             "finished": self._finished,
             "collected": (
                 list(self._collected_times),
@@ -840,6 +838,7 @@ class StreamingSession:
             if watermark is not None and watermark > node.source.watermark:
                 node.source.advance(watermark)
         self._windows_run = state["windows_run"]
+        self._events_emitted = state["events_emitted"]
         self._finished = state["finished"]
         times, values, durations = state["collected"]
         self._collected_times = list(times)

@@ -10,7 +10,6 @@ from repro.scaling.multicore import (
     ScalingModel,
     ScalingPoint,
     ScalingResult,
-    measure_multicore_lifestream,
     measure_single_worker_throughput,
     run_data_parallel,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "EngineScalingProfile",
     "ENGINE_PROFILES",
     "run_data_parallel",
-    "measure_multicore_lifestream",
     "measure_single_worker_throughput",
     "MEASURED_WORKER_COUNTS",
     "ClusterModel",

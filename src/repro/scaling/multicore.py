@@ -2,17 +2,13 @@
 
 Physiological datasets hold data from thousands of patients and the
 pipelines process patients independently, so the computation parallelises
-across patients.  Three layers are provided:
+across patients.  Two layers are provided:
 
-* :func:`measure_multicore_lifestream` — **measured mode**: real
-  window-sharded execution of the Figure 3 pipeline through the engine's
-  :class:`~repro.core.runtime.backends.MultiprocessBackend`, producing one
-  measured Figure 10(c) point per worker count.  This is intra-query
-  parallelism (disjoint output-window ranges per worker), the closest
-  analogue of the paper's per-machine thread scaling.
-* :func:`run_data_parallel` — real data-parallel execution of the Figure 3
-  pipeline over a cohort of patients using a ``multiprocessing`` pool
-  (inter-query parallelism: one patient per task).
+* :func:`run_data_parallel` — **measured mode**: real data-parallel
+  execution of the Figure 3 pipeline over a cohort of patients using a
+  ``multiprocessing`` pool (one patient per task), the parallelism the
+  paper's Figure 10(c) scales; one measured point per worker count in
+  :data:`MEASURED_WORKER_COUNTS`.
 * :class:`ScalingModel` — an analytic model that extrapolates measured
   single-worker throughput to arbitrary worker counts using each engine's
   memory behaviour (the Trill-like engine's per-worker join state exhausts
@@ -20,7 +16,7 @@ across patients.  Three layers are provided:
   LifeStream keeps scaling thanks to its pre-allocated, reused buffers).
   The Figure 10(c)/(d) benchmarks use the model for the full 1–48 thread
   curves beyond the host's core count; DESIGN.md documents this
-  substitution, alongside the measured points the two real modes produce.
+  substitution, alongside the measured points.
 """
 
 from __future__ import annotations
@@ -31,11 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.runtime.backends import MultiprocessBackend, SerialBackend
-from repro.core.timeutil import TICKS_PER_SECOND
 from repro.data.dataset import PatientRecord
 from repro.errors import TrillOutOfMemoryError
-from repro.pipelines.e2e import run_e2e, run_lifestream_e2e
+from repro.pipelines.e2e import run_e2e
 
 #: Machine parameters of the paper's scaling experiments (AWS m5a.8xlarge).
 M5A_8XLARGE_CORES = 32
@@ -77,12 +71,27 @@ def _process_patient(args: tuple[str, np.ndarray, np.ndarray, np.ndarray, np.nda
     return run.events_ingested
 
 
+def _worker_started(barrier) -> None:
+    """Pool initializer: unpickling this function imported the pipeline
+    modules in the worker; wait until every worker has done so."""
+    barrier.wait()
+
+
+#: Seconds the parent waits for every pool worker to start.
+POOL_START_TIMEOUT_SECONDS = 120.0
+
+
 def run_data_parallel(
     engine: str,
     patients: list[PatientRecord],
     n_workers: int,
 ) -> ScalingPoint:
-    """Process a cohort of patients in parallel with *n_workers* processes."""
+    """Process a cohort of patients in parallel with *n_workers* processes.
+
+    The clock covers the cohort's work only: a pool's workers have started
+    their interpreters and imported the pipeline before it starts, so the
+    throughput is the pool's, not its start-up.
+    """
     if n_workers <= 0:
         raise ValueError(f"n_workers must be positive, got {n_workers}")
     tasks = [
@@ -96,51 +105,24 @@ def run_data_parallel(
         for record in patients
     ]
     total_events = sum(record.total_events() for record in patients)
-    began = time.perf_counter()
     if n_workers == 1:
+        began = time.perf_counter()
         for task in tasks:
             _process_patient(task)
+        elapsed = time.perf_counter() - began
     else:
-        with multiprocessing.get_context("spawn").Pool(n_workers) as pool:
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(n_workers + 1)
+        with context.Pool(n_workers, initializer=_worker_started, initargs=(barrier,)) as pool:
+            barrier.wait(timeout=POOL_START_TIMEOUT_SECONDS)
+            began = time.perf_counter()
             pool.map(_process_patient, tasks)
-    elapsed = time.perf_counter() - began
+            elapsed = time.perf_counter() - began
     return ScalingPoint(workers=n_workers, throughput_events_per_second=total_events / elapsed)
 
 
-#: Worker counts the measured Figure 10(c) mode sweeps by default.
+#: Worker counts the measured Figure 10(c) mode sweeps.
 MEASURED_WORKER_COUNTS = (1, 2, 4)
-
-
-def measure_multicore_lifestream(
-    ecg: tuple[np.ndarray, np.ndarray],
-    abp: tuple[np.ndarray, np.ndarray],
-    worker_counts: tuple[int, ...] = MEASURED_WORKER_COUNTS,
-    window_size: int = TICKS_PER_SECOND,
-) -> ScalingResult:
-    """Measured Figure 10(c) points: window-sharded LifeStream execution.
-
-    Runs the Figure 3 pipeline once per worker count, executing through
-    :class:`~repro.core.runtime.backends.MultiprocessBackend` (``workers=1``
-    uses the serial backend, the calibration point).  The default
-    ``window_size`` of one second keeps the output-window count high enough
-    to shard meaningfully at benchmark data sizes.
-
-    These are *measured* throughputs on the host machine — on a box with
-    fewer cores than workers the curve will be flat, which is the honest
-    result; the analytic :class:`ScalingModel` remains the substitute for
-    the paper's 32-core machine.
-    """
-    points: list[ScalingPoint] = []
-    for workers in worker_counts:
-        backend = SerialBackend() if workers == 1 else MultiprocessBackend(n_workers=workers)
-        run = run_lifestream_e2e(ecg, abp, window_size=window_size, backend=backend)
-        points.append(
-            ScalingPoint(
-                workers=workers,
-                throughput_events_per_second=run.throughput_events_per_second,
-            )
-        )
-    return ScalingResult(engine="lifestream (measured, window-sharded)", points=points)
 
 
 @dataclass(frozen=True)

@@ -634,8 +634,6 @@ class StreamingService:
         if backend is None:
             return ("serial",)
         name = getattr(backend, "name", "serial")
-        if name == "batched":
-            return (name, backend.batch_windows)
         if name == "vectorized":
             return (name, backend.max_run_windows)
         return (name,)
@@ -647,9 +645,9 @@ class StreamingService:
         Runs at most every :attr:`adapt_after_ticks` observed ticks per
         client, and only once the merged profile holds at least that many
         ticks.  A recommendation matching the current configuration is a
-        no-op (no recompile, no swap); a misaligned swap (the frontier does
-        not land on the new plan's window grid — e.g. onto a batched twin
-        mid-batch) is abandoned and retried at a later boundary.
+        no-op (no recompile, no swap); a refused swap (the frontier does not
+        land on the new plan's window grid, or the operator states do not
+        line up) is abandoned and retried at a later boundary.
         """
         if (
             record.profile_key is None
@@ -669,7 +667,7 @@ class StreamingService:
         current_hints = record.compiled.plan.hints
         current_cut = None if current_hints is None else current_hints.max_fusion_length
         # Of the hint fields, only the fusion cut changes the compiled plan
-        # itself — batch width and the run cap live on the backend object.
+        # itself — the run cap lives on the backend object.
         # Swap only when the execution configuration genuinely changes; a
         # recommendation matching the status quo must not churn sessions.
         if (
@@ -697,8 +695,8 @@ class StreamingService:
                 compiled, targeted=targeted, backend=backend
             )
         except ExecutionError:
-            # Misaligned boundary (or a defensive state mismatch): keep the
-            # current session and re-evaluate after the next check window.
+            # A refused swap (misaligned boundary or state mismatch): keep
+            # the current session and re-evaluate after the next check window.
             return False
         record.session = new_session
         record.compiled = compiled

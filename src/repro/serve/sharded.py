@@ -6,15 +6,12 @@ side.  :class:`ShardedStreamingService` realises that for serving: every
 registered client's *entire* session lives on one forked worker process, so
 each worker runs an ordinary in-process :class:`~repro.serve.service.StreamingService`
 over its shard and a ``pump`` fans the watermark batch out to all workers
-at once.  This closes the streaming gap of
-:class:`~repro.core.runtime.backends.MultiprocessBackend` (whose
-``session_plan`` rejects single-session use, because per-window sharding
-would re-replay warm-up state every tick): with whole sessions as the
-sharding unit, every operator carry stays on the worker that owns it and no
-state ever crosses a process boundary.
+at once.  With whole sessions as the sharding unit, every operator carry
+stays on the worker that owns it and no state ever crosses a process
+boundary.
 
 Queries hold user lambdas and plans hold NumPy buffers — neither pickles —
-so the protocol is fork-based, exactly like the multiprocess backend:
+so the protocol is fork-based:
 
 1. clients are registered *before* :meth:`start` (queries and sources are
    inherited by the fork, never serialised);
@@ -28,7 +25,7 @@ so the protocol is fork-based, exactly like the multiprocess backend:
 Platforms without ``fork`` (or ``n_workers=1``, or a single client) fall
 back to one in-process service; :attr:`execution_mode` reports which mode
 actually serves — ``"forked"`` or ``"in-process"`` — mirroring the honest
-``ExecutionStats.execution_mode`` accounting of the batch backends.
+``ExecutionStats.execution_mode`` accounting of the execution backends.
 """
 
 from __future__ import annotations
@@ -149,7 +146,7 @@ class ShardedStreamingService:
 
     # -- setup -------------------------------------------------------------
 
-    #: Platform check, shared with :class:`MultiprocessBackend`.
+    #: Platform check, shared with the ingest worker pool.
     _fork_available = staticmethod(fork_available)
 
     def register(

@@ -346,9 +346,8 @@ class SharedPrefixGroup:
         total = recent[0].cumulative_events if recent else 0
         delta = total - self.published_events
         times, values, durations = session.recent_events(delta)
-        # Coverage is propagated on the *pristine* compiled plan, not the
-        # session's (a backend may execute a twin): propagation is a pure
-        # function of the sources, so both yield the same lineage coverage.
+        # Re-propagate the prefix plan's coverage: propagation is a pure
+        # function of the sources, so it sees the latest lineage coverage.
         sink = self.prefix_compiled.plan.sink
         propagate_coverage(sink)
         complete = session.output_complete_through

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.diagnostics import (
     CODES,
+    RETIRED_CODES,
     SEVERITIES,
     Diagnostic,
     count_by_severity,
@@ -34,7 +35,6 @@ class TestCodeStability:
             "LS201",
             "LS202",
             "LS203",
-            "LS204",
             "LS205",
             "LS206",
             "LS207",
@@ -48,6 +48,9 @@ class TestCodeStability:
             "LS405",
             "LS406",
         ]
+
+    def test_retired_codes_are_never_reused(self):
+        assert RETIRED_CODES and not RETIRED_CODES & set(CODES)
 
     def test_every_code_has_a_title(self):
         assert all(CODES[code].strip() for code in CODES)

@@ -1,7 +1,7 @@
 """Parity suite for the execution backends and operator fusion.
 
-Asserts that fused vs. unfused plans, and all four execution backends
-(serial, batched, multiprocess, vectorized), produce bit-identical
+Asserts that fused vs. unfused plans, and both execution backends (serial
+and vectorized, the latter also under several run caps), produce bit-identical
 StreamResults across operator-chain queries in both targeted and eager
 modes."""
 
@@ -10,14 +10,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import (
-    BatchedBackend,
-    MultiprocessBackend,
-    SerialBackend,
-    VectorizedBackend,
-    plan_batch_safe,
-    plan_warmup_windows,
-)
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource
 from repro.errors import ExecutionError
 
@@ -73,13 +66,15 @@ CHAIN_QUERIES = {
 
 BACKENDS = {
     "serial": lambda: SerialBackend(),
-    "batched-4": lambda: BatchedBackend(batch_windows=4),
-    "batched-16": lambda: BatchedBackend(batch_windows=16),
-    "multiprocess-2": lambda: MultiprocessBackend(n_workers=2),
-    "multiprocess-3": lambda: MultiprocessBackend(n_workers=3),
     "vectorized": lambda: VectorizedBackend(),
     # Tiny run cap: every run is split, exercising run-boundary state carry.
     "vectorized-small-runs": lambda: VectorizedBackend(max_run_windows=3),
+    # Further run caps move the split points: one window per run (every
+    # window boundary is a run boundary), then runs of 2, 4 and 16 windows.
+    "vectorized-runs-1": lambda: VectorizedBackend(max_run_windows=1),
+    "vectorized-runs-2": lambda: VectorizedBackend(max_run_windows=2),
+    "vectorized-runs-4": lambda: VectorizedBackend(max_run_windows=4),
+    "vectorized-runs-16": lambda: VectorizedBackend(max_run_windows=16),
 }
 
 
@@ -123,22 +118,9 @@ class TestBackendParity:
         engine = LifeStreamEngine(window_size=1000)
         compiled = engine.compile(CHAIN_QUERIES["elementwise"](), {"s": source})
         serial = compiled.run()
-        batched = compiled.run(backend=BatchedBackend(8))
-        _assert_identical(serial, batched, "per-run backend override")
-
-    def test_batched_twin_cached_on_plan(self):
-        source = _gappy_source()
-        backend = BatchedBackend(batch_windows=8)
-        engine = LifeStreamEngine(window_size=1000, backend=backend)
-        compiled = engine.compile(CHAIN_QUERIES["elementwise"](), {"s": source})
-        compiled.run()
-        twins = compiled.plan.__dict__["_batched_twins"]
-        twin = twins[8]
-        compiled.run()
-        assert twins[8] is twin
-        # A different backend instance reuses the plan-attached twin too.
-        BatchedBackend(batch_windows=8).execute(compiled.plan)
-        assert compiled.plan.__dict__["_batched_twins"][8] is twin
+        vectorized = compiled.run(backend=VectorizedBackend(max_run_windows=8))
+        assert vectorized.stats.execution_mode == "vectorized"
+        _assert_identical(serial, vectorized, "per-run backend override")
 
     def test_long_shift_emits_at_shifted_times(self):
         # A shift spanning several windows must delay events by exactly the
@@ -162,45 +144,34 @@ class TestBackendParity:
             np.testing.assert_array_equal(result.times, times + offset)
             np.testing.assert_array_equal(result.values, values)
 
-    def test_batched_falls_back_on_unsafe_plans(self):
+    def test_vectorized_runs_unsafe_operators_window_by_window(self):
+        # Interpolating resample is not batch-safe: inside each run it must
+        # execute window by window, bit-identically to serial.
         source = _gappy_source()
         query = (
             Query.source("s", frequency_hz=500)
             .alter_period(1, mode="interpolate")
             .where(lambda v: v > 0)
         )
-        engine = LifeStreamEngine(window_size=1000, backend=BatchedBackend(16))
+        engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
         compiled = engine.compile(query, {"s": source})
-        assert not plan_batch_safe(compiled.plan)
         reference = compiled.run(backend=SerialBackend())
         candidate = compiled.run()
-        _assert_identical(reference, candidate, "unsafe plan fallback")
+        assert candidate.stats.execution_mode == "vectorized+serial-fallback"
+        _assert_identical(reference, candidate, "unsafe operator inside runs")
 
-    def test_multiprocess_warmup_covers_long_shifts(self):
-        # A shift longer than one window needs several warm-up windows.
+    def test_long_shift_carries_across_run_boundaries(self):
+        # A shift spanning three windows, with runs capped at two windows:
+        # the carry must cross every run boundary intact.
         source = make_source(8000, period=2)
         query = Query.source("s", frequency_hz=500).select(lambda v: v).shift(3000)
         engine = LifeStreamEngine(window_size=1000)
         compiled = engine.compile(query, {"s": source})
-        assert plan_warmup_windows(compiled.plan) == 3
         reference = compiled.run()
-        candidate = compiled.run(backend=MultiprocessBackend(n_workers=3))
-        _assert_identical(reference, candidate, "long-shift sharding")
-
-    def test_multiprocess_single_worker_is_serial(self):
-        source = _gappy_source()
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=1))
-        reference = LifeStreamEngine(window_size=1000).run(
-            CHAIN_QUERIES["elementwise"](), {"s": source}
-        )
-        candidate = engine.run(CHAIN_QUERIES["elementwise"](), {"s": source})
-        _assert_identical(reference, candidate, "single-worker multiprocess")
+        candidate = compiled.run(backend=VectorizedBackend(max_run_windows=2))
+        _assert_identical(reference, candidate, "long shift across runs")
 
     def test_invalid_backend_parameters_rejected(self):
-        with pytest.raises(ExecutionError):
-            BatchedBackend(batch_windows=0)
-        with pytest.raises(ExecutionError):
-            MultiprocessBackend(n_workers=0)
         with pytest.raises(ExecutionError):
             VectorizedBackend(max_run_windows=0)
 
@@ -228,34 +199,6 @@ class TestExecutionStatsAcrossBackends:
         )
         assert eager.stats.windows_skipped == 0
 
-    def test_batched_stats_reported_in_original_geometry(self):
-        # Stats from a batched run must be commensurate with serial ones:
-        # window counts in original-window units, not twin units.
-        source = _gappy_source()
-        engine = LifeStreamEngine(window_size=1000)
-        compiled = engine.compile(CHAIN_QUERIES["elementwise"](), {"s": source})
-        serial_eager = compiled.run(targeted=False)
-        batched_eager = compiled.run(targeted=False, backend=BatchedBackend(8))
-        assert batched_eager.stats.output_windows == serial_eager.stats.output_windows
-        serial = compiled.run(targeted=True)
-        batched = compiled.run(targeted=True, backend=BatchedBackend(8))
-        # Batched computes the coverage holes inside each run, so it covers
-        # at least what serial did, bounded by the eager total.
-        assert batched.stats.output_windows >= serial.stats.output_windows
-        assert batched.stats.windows_skipped <= serial.stats.windows_skipped
-        assert (
-            batched.stats.output_windows + batched.stats.windows_skipped
-            == serial.stats.output_windows + serial.stats.windows_skipped
-        )
-
-    def test_multiprocess_stats_aggregate_worker_counts(self):
-        source = _gappy_source()
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
-        result = engine.run(CHAIN_QUERIES["aggregate"](), {"s": source})
-        assert result.stats.windows_computed > 0
-        assert result.stats.events_ingested == source.event_count()
-
-
 class TestExecutionModeHonesty:
     """Regression: silent backend fallbacks used to report the requested
     backend in the stats; they must report the mode that actually ran."""
@@ -270,67 +213,6 @@ class TestExecutionModeHonesty:
             CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()}
         )
         assert result.stats.execution_mode == "serial"
-
-    def test_batched_reports_batched_when_widened(self):
-        engine = LifeStreamEngine(window_size=1000, backend=BatchedBackend(8))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
-        assert result.stats.execution_mode == "batched"
-
-    def test_batched_fallback_reports_serial(self):
-        # Non-batch-safe plan: the batched backend runs the original plan.
-        query = (
-            Query.source("s", frequency_hz=500)
-            .alter_period(1, mode="interpolate")
-            .where(lambda v: v > 0)
-        )
-        engine = LifeStreamEngine(window_size=1000, backend=BatchedBackend(16))
-        result = engine.run(query, {"s": _gappy_source()})
-        assert result.stats.execution_mode == "serial"
-        # batch_windows=1 never widens either.
-        result = LifeStreamEngine(window_size=1000, backend=BatchedBackend(1)).run(
-            CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()}
-        )
-        assert result.stats.execution_mode == "serial"
-
-    def test_multiprocess_reports_multiprocess_when_sharded(self):
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
-        assert result.stats.execution_mode == "multiprocess"
-
-    def test_multiprocess_single_worker_reports_serial(self):
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=1))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
-        assert result.stats.execution_mode == "serial"
-
-    def test_multiprocess_too_few_windows_reports_serial(self):
-        # 4 windows < 2 * 3 workers: the shard split would be all warm-up.
-        source = make_source(2000, period=2)
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=3))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": source})
-        assert result.stats.execution_mode == "serial"
-
-    def test_multiprocess_without_fork_reports_serial(self, monkeypatch):
-        monkeypatch.setattr(MultiprocessBackend, "_fork_available", staticmethod(lambda: False))
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
-        assert result.stats.execution_mode == "serial"
-
-    def test_session_reports_widened_and_fallback_modes(self):
-        from repro.core.sources import ReplaySource
-
-        engine = LifeStreamEngine(window_size=1000, backend=BatchedBackend(4))
-        session = engine.open_session(
-            CHAIN_QUERIES["elementwise"](), {"s": ReplaySource(_gappy_source())}
-        )
-        session.finish()
-        assert session.result().stats.execution_mode == "batched"
-        session.close()
-        # Non-batch-safe plan: the session drives the original plan serially.
-        query = Query.source("s", frequency_hz=500).alter_period(1, mode="interpolate")
-        session = engine.open_session(query, {"s": ReplaySource(_gappy_source())})
-        session.finish()
-        assert session.result().stats.execution_mode == "serial"
-        session.close()
 
     def test_vectorized_reports_vectorized_when_fully_lowered(self):
         engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())

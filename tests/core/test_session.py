@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import BatchedBackend, MultiprocessBackend, SerialBackend
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import ExecutionError
 
@@ -34,8 +34,8 @@ def _source(period=2, seed=3):
 
 #: Queries covering every kind of cross-tick carry state: element-wise
 #: chains (fusion), Shift FIFOs, sliding-aggregate tails, join carries over
-#: multicast fan-out, chop carries, and a non-batch-safe interpolation (the
-#: batched backend's serial session fallback).
+#: multicast fan-out, chop carries, and a non-batch-safe interpolation (run
+#: window-by-window inside vectorized ticks).
 SESSION_QUERIES = {
     "elementwise": lambda: (
         Query.source("s", frequency_hz=500)
@@ -65,7 +65,9 @@ SESSION_QUERIES = {
 
 SESSION_BACKENDS = {
     "serial": lambda: None,
-    "batched-4": lambda: BatchedBackend(batch_windows=4),
+    "vectorized": lambda: VectorizedBackend(),
+    # Tiny run cap: each tick's ready windows are split into several runs.
+    "vectorized-small-runs": lambda: VectorizedBackend(max_run_windows=3),
 }
 
 #: Irregular watermark schedule: > 3 advances, not window-aligned, with a
@@ -221,18 +223,18 @@ class TestSessionCheckpoint:
         )
         _assert_identical(reference, result, f"{query_name} checkpoint round trip")
 
-    def test_checkpoint_restore_batched(self, tmp_path):
+    def test_checkpoint_restore_vectorized(self, tmp_path):
         reference = LifeStreamEngine(window_size=1000).run(
             SESSION_QUERIES["shift-chain"](), {"s": _source()}
         )
         result, _ = _run_session(
             SESSION_QUERIES["shift-chain"],
             True,
-            BatchedBackend(batch_windows=4),
+            VectorizedBackend(),
             checkpoint_at=3,
             checkpoint_path=tmp_path / "session.ckpt",
         )
-        _assert_identical(reference, result, "batched checkpoint round trip")
+        _assert_identical(reference, result, "vectorized checkpoint round trip")
 
     def test_checkpoint_dict_round_trip_without_disk(self):
         engine = LifeStreamEngine(window_size=1000)
@@ -294,6 +296,44 @@ class TestSessionCheckpoint:
                 checkpoint={"format": "something-else"},
             )
 
+    def test_missing_field_rejected(self):
+        engine = LifeStreamEngine(window_size=1000)
+        session = engine.open_session(
+            SESSION_QUERIES["elementwise"](), {"s": ReplaySource(_source())}
+        )
+        session.advance(3000)
+        state = session.checkpoint()
+        session.close()
+        del state["backend"]
+        with pytest.raises(ExecutionError, match="missing required field 'backend'"):
+            engine.open_session(
+                SESSION_QUERIES["elementwise"](),
+                {"s": ReplaySource(_source())},
+                checkpoint=state,
+            )
+
+    @pytest.mark.parametrize("backend_name", sorted(SESSION_BACKENDS))
+    def test_cumulative_events_survive_restore_and_swap(self, backend_name):
+        backend = SESSION_BACKENDS[backend_name]()
+        engine = LifeStreamEngine(window_size=1000, backend=backend)
+        session = engine.open_session(
+            SESSION_QUERIES["sliding"](), {"s": ReplaySource(_source())}
+        )
+        session.advance(4211)
+        state = session.checkpoint()
+        session.close()
+        sources = {"s": ReplaySource(_source())}
+        restored = engine.open_session(SESSION_QUERIES["sliding"](), sources, checkpoint=state)
+        tick = restored.advance(7000)
+        assert tick.cumulative_events == restored.result().times.size
+        replacement = engine.compile(SESSION_QUERIES["sliding"](), sources)
+        swapped = restored.swap_plan(replacement, backend=backend)
+        tick = swapped.advance(9999)
+        assert tick.cumulative_events == swapped.result().times.size
+        tick = swapped.finish()
+        assert tick.cumulative_events == swapped.result().times.size
+        swapped.close()
+
 
 class TestCheckpointDurability:
     """Crash-safety of the on-disk checkpoint path (failover depends on it)."""
@@ -321,6 +361,23 @@ class TestCheckpointDurability:
         path.write_bytes(pickle.dumps([1, 2, 3]))
         with pytest.raises(ExecutionError, match="does not hold a checkpoint"):
             self._open(engine, checkpoint=path)
+
+    def test_corrupt_module_name_raises_a_clear_error(self, tmp_path):
+        # A flipped byte in a pickled module name makes unpickling import a
+        # module that does not exist; that must surface as ExecutionError,
+        # not as a bare ModuleNotFoundError.
+        engine = LifeStreamEngine(window_size=1000)
+        session = self._open(engine)
+        session.advance(5000)
+        path = tmp_path / "session.ckpt"
+        session.checkpoint(path)
+        session.close()
+        raw = path.read_bytes()
+        assert b"numpy" in raw
+        path.write_bytes(raw.replace(b"numpy", b"nompy"))
+        with pytest.raises(ExecutionError, match="truncated or corrupt") as info:
+            self._open(engine, checkpoint=path)
+        assert isinstance(info.value.__cause__, ModuleNotFoundError)
 
     def test_atomic_write_survives_injected_crash(self, tmp_path, monkeypatch):
         engine = LifeStreamEngine(window_size=1000)
@@ -491,13 +548,6 @@ class TestSessionLifecycle:
                      lambda: session.advance(1000)):
             with pytest.raises(ExecutionError, match="closed"):
                 call()
-
-    def test_multiprocess_backend_rejected(self):
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
-        with pytest.raises(NotImplementedError, match="multiprocess"):
-            engine.open_session(
-                SESSION_QUERIES["elementwise"](), {"s": ReplaySource(_source())}
-            )
 
     def test_serial_backend_object_accepted(self):
         engine = LifeStreamEngine(window_size=1000, backend=SerialBackend())

@@ -16,19 +16,21 @@ import pytest
 from repro.core.compiler import CompileHints
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import BatchedBackend, VectorizedBackend
+from repro.core.runtime import VectorizedBackend
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import ExecutionError
 
 WINDOW_SIZE = 1000
 WATERMARKS = (777, 2500, 4211, 7000, 9999, 12001)
 
-#: Backend factories for the swap matrix (fresh objects per test: backends
-#: cache twins/executors on plans).
+#: Backend factories for the swap matrix (fresh objects per test: the
+#: vectorized backend caches run executors on plans).
 BACKENDS = {
     "serial": lambda: None,
-    "batched-4": lambda: BatchedBackend(batch_windows=4),
     "vectorized": lambda: VectorizedBackend(),
+    # Tiny run cap: runs split inside a tick, so the swap lands between
+    # run-boundary carries as well as tick-boundary ones.
+    "vectorized-small-runs": lambda: VectorizedBackend(max_run_windows=3),
 }
 
 
@@ -124,16 +126,12 @@ class TestSwapParityMatrix:
         [
             ("serial", "vectorized"),
             ("vectorized", "serial"),
-            ("batched-4", "serial"),
-            ("vectorized", "batched-4"),
+            ("serial", "vectorized-small-runs"),
+            ("vectorized-small-runs", "vectorized"),
         ],
     )
     def test_cross_backend_swap_is_bit_identical(self, old_name, new_name):
-        """Swapping between execution backends mid-stream preserves output.
-
-        Swapping *off* a batched twin is always grid-aligned (the twin's
-        boundaries are a subset of the base grid); swapping *onto* one is
-        covered separately because it can be refused."""
+        """Swapping between execution backends mid-stream preserves output."""
         reference = _reference_result()
         session, result = _run_with_swap(
             3, BACKENDS[old_name](), BACKENDS[new_name]()
@@ -152,10 +150,16 @@ class TestSwapParityMatrix:
         session.close()
 
 
-class TestSwapOntoBatchedGrid:
-    def test_aligned_swap_onto_twin_succeeds_eventually(self):
-        """Serial -> batched is only legal at every batch_windows-th window
-        boundary; a pump loop that retries on misalignment lands one."""
+def _coarse_compile(sources):
+    """The test query compiled at twice the window size: its sink grid keeps
+    every other boundary of the base grid."""
+    return LifeStreamEngine(window_size=2 * WINDOW_SIZE).compile(_query(), sources)
+
+
+class TestSwapOntoCoarserGrid:
+    def test_aligned_swap_onto_coarser_grid_succeeds_eventually(self):
+        """A swap onto a 2x-window plan is only legal at the boundaries the
+        two grids share; a pump loop that retries on misalignment lands one."""
         reference = _reference_result()
         sources = {"s": ReplaySource(_source())}
         session = _engine().open_session(_query(), sources)
@@ -163,17 +167,14 @@ class TestSwapOntoBatchedGrid:
         for watermark in WATERMARKS:
             session.advance(watermark)
             if not swapped:
-                backend = BatchedBackend(batch_windows=4)
-                replacement = _engine(backend=backend).compile(_query(), sources)
                 try:
-                    session = session.swap_plan(replacement, backend=backend)
+                    session = session.swap_plan(_coarse_compile(sources))
                     swapped = True
                 except ExecutionError:
                     continue  # misaligned boundary: retry at the next tick
         assert swapped, "no aligned boundary found across the whole schedule"
         session.finish()
-        _assert_identical(reference, session.result(), "serial->batched")
-        assert session.result().stats.execution_mode == "batched (recompiled)"
+        _assert_identical(reference, session.result(), "fine->coarse grid")
         session.close()
 
     def test_misaligned_swap_raises_and_leaves_session_intact(self):
@@ -188,15 +189,15 @@ class TestSwapOntoBatchedGrid:
             frontier = session.frontier
             if frontier is None:
                 continue
-            # A 3-window twin triples the sink dimension; only try the
-            # boundaries that are provably NOT on the twin's widened grid.
+            replacement = _coarse_compile(sources)
+            coarse = replacement.plan.sink.dimension
+            assert coarse == 2 * dimension
+            # Only try the boundaries that are provably NOT on the coarse grid.
             emitted_through = frontier + dimension
-            if (emitted_through - offset) % (3 * dimension) == 0:
+            if (emitted_through - offset) % coarse == 0:
                 continue
-            backend = BatchedBackend(batch_windows=3)
-            replacement = _engine(backend=backend).compile(_query(), sources)
             with pytest.raises(ExecutionError, match="misaligned"):
-                session.swap_plan(replacement, backend=backend)
+                session.swap_plan(replacement)
             misaligned += 1
         assert misaligned > 0, "every boundary happened to align; broaden the data"
         # The refused swaps left the original session fully functional.

@@ -17,7 +17,6 @@ from repro.lang.ast import (
     Ref,
     SinkDecl,
     SourceDecl,
-    StringLit,
 )
 from repro.lang.parser import parse
 

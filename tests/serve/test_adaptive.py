@@ -18,17 +18,12 @@ from repro.core.compiler import CompileHints, compile_plan
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.runtime import (
-    BatchedBackend,
     PlanProfile,
     SerialBackend,
     VectorizedBackend,
     recommend_backend,
 )
-from repro.core.runtime.profile import (
-    MAX_HINTED_BATCH_WINDOWS,
-    MAX_HINTED_RUN_WINDOWS,
-    MIN_HINTED_RUN_WINDOWS,
-)
+from repro.core.runtime.profile import MAX_HINTED_RUN_WINDOWS, MIN_HINTED_RUN_WINDOWS
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import CompilationError, ExecutionError
 from repro.serve import PlanCache, ProfileStore, StreamingService, signature_digest
@@ -122,25 +117,20 @@ class TestPlanProfile:
         for _ in range(4):
             profile.observe(_tick(windows_run=24, window_runs=3))  # mean run 8
         hints = profile.hints()
-        assert hints.batch_windows == 8
         # Largest bucket 8 -> next pow2 above 2*8 is 16 (also the floor).
         assert hints.max_run_windows == 16
-        assert hints.targeted is True  # fragmented (3 runs per busy tick)
         assert "4 tick(s)" in hints.reason
 
     def test_hints_bounds(self):
         isolated = PlanProfile()
         isolated.observe(_tick(windows_run=3, window_runs=3))
         hints = isolated.hints()
-        assert hints.batch_windows is None  # nothing to amortise
         assert hints.max_run_windows == MIN_HINTED_RUN_WINDOWS
 
         huge = PlanProfile()
         huge.observe(_tick(windows_run=100000, window_runs=1))
         hints = huge.hints()
-        assert hints.batch_windows == MAX_HINTED_BATCH_WINDOWS
         assert hints.max_run_windows == MAX_HINTED_RUN_WINDOWS
-        assert hints.targeted is None  # dense: no opinion
 
     def test_json_round_trip(self):
         profile = PlanProfile()
@@ -240,7 +230,7 @@ class TestRecommendBackend:
     def test_static_choice_returns_reason(self):
         backend, reason = recommend_backend(self._plan())
         assert isinstance(reason, str) and reason
-        assert backend.name in {"serial", "batched", "vectorized"}
+        assert backend.name in {"serial", "vectorized"}
 
     def test_profiled_long_runs_pick_vectorized_with_sized_cap(self):
         profile = PlanProfile()
@@ -259,40 +249,35 @@ class TestRecommendBackend:
         assert isinstance(backend, SerialBackend)
         assert "isolated" in reason
 
-    def test_profiled_runs_without_lowering_pick_batched(self):
-        # A custom window transform blocks vectorized lowering but stays
-        # widening-safe, so measured runs steer to the batched twin.
-        query = (
-            Query.source("s", frequency_hz=500)
-            .tumbling_window(200)
-            .mean()
+    def test_profiled_runs_without_lowering_pick_serial(self):
+        # No operator of a clip-join plan lowers to a run kernel, so even
+        # long measured runs leave run execution nothing to amortise.
+        query = Query.source("s", frequency_hz=500).multicast(
+            lambda s: s.clip_join(s, lambda a, b: a + b)
         )
         plan = self._plan(query)
         profile = PlanProfile()
         for _ in range(5):
             profile.observe(_tick(windows_run=16, window_runs=2))
         backend, reason = recommend_backend(plan, profile=profile)
-        if isinstance(backend, BatchedBackend):
-            assert backend.batch_windows == profile.hints().batch_windows
-            assert "widened twin" in reason
-        else:  # the aggregate lowers on this build: vectorized wins instead
-            assert isinstance(backend, VectorizedBackend)
+        assert isinstance(backend, SerialBackend)
+        assert "lowers to a run kernel" in reason
 
 
 class TestCompileHints:
     def test_validation(self):
         with pytest.raises(CompilationError):
-            CompileHints(batch_windows=0)
+            CompileHints(max_run_windows=0)
         with pytest.raises(CompilationError):
             CompileHints(max_run_windows=-1)
         with pytest.raises(CompilationError):
             CompileHints(max_fusion_length=1)
 
     def test_cache_key_excludes_reason(self):
-        a = CompileHints(batch_windows=8, reason="profile says so")
-        b = CompileHints(batch_windows=8, reason="different words")
+        a = CompileHints(max_run_windows=8, reason="profile says so")
+        b = CompileHints(max_run_windows=8, reason="different words")
         assert a.cache_key() == b.cache_key()
-        assert a.cache_key() != CompileHints(batch_windows=16).cache_key()
+        assert a.cache_key() != CompileHints(max_run_windows=16).cache_key()
 
     def test_fusion_cut_compiles_to_identical_output(self):
         sources = {"s": _dense_source(4000)}
