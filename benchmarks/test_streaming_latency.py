@@ -20,6 +20,7 @@ import pytest
 from benchmarks.conftest import get_report, timed_benchmark
 from repro.bench.workloads import e2e_dataset
 from repro.core.engine import LifeStreamEngine
+from repro.core.runtime import SerialBackend
 from repro.core.sources import ArraySource, ReplaySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
@@ -79,10 +80,12 @@ def _run_session(ecg, abp, watermarks):
 
 
 def _run_rerun(ecg, abp, watermarks):
-    """Pre-session path: recompile and re-run from time zero on every tick."""
+    """Pre-session path: recompile and re-run from time zero on every tick.
+
+    Serial, like the session it is compared with."""
     import time
 
-    engine = LifeStreamEngine(window_size=TICKS_PER_SECOND)
+    engine = LifeStreamEngine(window_size=TICKS_PER_SECOND, backend=SerialBackend())
     sources = _replay_sources(ecg, abp)
     latencies = []
     result = None

@@ -190,7 +190,7 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
     if not (plan_vector_info(plan).runnable and plan_vector_info(plan).lowered_operators):
         return
     reference = _events(plan)
-    for cap in (2, 5, 512):
+    for cap in (2, 5, None):
         lowered = _events(_compile(case), backend=VectorizedBackend(max_run_windows=cap))
         if not _same_events(reference, lowered):
             out.append(

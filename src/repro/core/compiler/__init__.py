@@ -52,6 +52,7 @@ from repro.core.compiler.passes import (
     VectorizePass,
     VerifyPass,
 )
+from repro.core.fwindow import FWindow
 from repro.core.graph import OperatorNode, PlanNode, SourceNode
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query, QuerySpec
@@ -98,39 +99,46 @@ def build_plan(query: Query, sources: dict[str, StreamSource] | None = None) -> 
     Spec nodes shared via ``Multicast`` become a single shared plan node, so
     the resulting structure is a DAG, not a tree.
     """
-    sources = sources or {}
-    memo: dict[int, PlanNode] = {}
+    return _build_node(query.spec, sources or {}, {})
 
-    def build(spec: QuerySpec) -> PlanNode:
-        existing = memo.get(id(spec))
-        if existing is not None:
-            return existing
-        if spec.kind == "source":
-            source = spec.bound_source
-            if source is None:
-                if spec.source_name not in sources:
-                    raise QueryConstructionError(
-                        f"query references source {spec.source_name!r} but no such "
-                        f"source was provided (available: {sorted(sources)})"
-                    )
-                source = sources[spec.source_name]
-            declared = spec.declared_descriptor
-            if declared is not None and declared.period != source.descriptor.period:
+
+def _build_node(
+    spec: QuerySpec, sources: dict[str, StreamSource], memo: dict[int, PlanNode]
+) -> PlanNode:
+    """The plan node for *spec*, built once per spec node (*memo*).
+
+    Recursive helpers of the plan graph are module-level functions, not
+    closures: a recursive closure is a reference cycle through its own cell,
+    and its memo would keep the whole graph, FWindows included, alive until
+    the cyclic garbage collector runs.
+    """
+    existing = memo.get(id(spec))
+    if existing is not None:
+        return existing
+    if spec.kind == "source":
+        source = spec.bound_source
+        if source is None:
+            if spec.source_name not in sources:
                 raise QueryConstructionError(
-                    f"source {spec.source_name!r} was declared with period "
-                    f"{declared.period} but the bound source has period "
-                    f"{source.descriptor.period}"
+                    f"query references source {spec.source_name!r} but no such "
+                    f"source was provided (available: {sorted(sources)})"
                 )
-            node: PlanNode = SourceNode(spec.name, source)
-        elif spec.kind == "operator":
-            inputs = [build(child) for child in spec.inputs]
-            node = OperatorNode(spec.name, spec.operator, inputs)
-        else:  # pragma: no cover - defensive
-            raise CompilationError(f"unknown spec kind {spec.kind!r}")
-        memo[id(spec)] = node
-        return node
-
-    return build(query.spec)
+            source = sources[spec.source_name]
+        declared = spec.declared_descriptor
+        if declared is not None and declared.period != source.descriptor.period:
+            raise QueryConstructionError(
+                f"source {spec.source_name!r} was declared with period "
+                f"{declared.period} but the bound source has period "
+                f"{source.descriptor.period}"
+            )
+        node: PlanNode = SourceNode(spec.name, source)
+    elif spec.kind == "operator":
+        inputs = [_build_node(child, sources, memo) for child in spec.inputs]
+        node = OperatorNode(spec.name, spec.operator, inputs)
+    else:  # pragma: no cover - defensive
+        raise CompilationError(f"unknown spec kind {spec.kind!r}")
+    memo[id(spec)] = node
+    return node
 
 
 @dataclass
@@ -182,42 +190,9 @@ class CompiledPlan:
         ignores them, matching ``build_plan``'s tolerance of extra entries
         in a shared sources dict.
         """
-        from repro.core.fwindow import FWindow
-
         replacements = dict(sources or {})
         rebound: set[str] = set()
-        memo: dict[int, PlanNode] = {}
-
-        def clone(node: PlanNode) -> PlanNode:
-            existing = memo.get(id(node))
-            if existing is not None:
-                return existing
-            if isinstance(node, SourceNode):
-                source = replacements.get(node.name, node.source)
-                if node.name in replacements:
-                    rebound.add(node.name)
-                if source.descriptor != node.source.descriptor:
-                    raise CompilationError(
-                        f"cannot instantiate plan: replacement source {node.name!r} "
-                        f"has descriptor {source.descriptor} but the plan was "
-                        f"compiled for {node.source.descriptor}; recompile for "
-                        f"streams on a different grid"
-                    )
-                fresh: PlanNode = SourceNode(node.name, source)
-            else:
-                fresh = OperatorNode(
-                    node.name, node.operator, [clone(child) for child in node.inputs]
-                )
-                fresh.state = node.operator.make_state()
-            fresh.dimension = node.dimension
-            if node.fwindow is not None:
-                fresh.fwindow = FWindow(
-                    fresh.descriptor, node.dimension, name=node.name, tracer=self.tracer
-                )
-            memo[id(node)] = fresh
-            return fresh
-
-        sink = clone(self.sink)
+        sink = _clone_node(self.sink, replacements, rebound, self.tracer, {})
         unmatched = set(replacements) - rebound
         if unmatched and strict:
             raise CompilationError(
@@ -265,6 +240,49 @@ class CompiledPlan:
             lines.append("diagnostics:")
             lines.extend(f"  {d.render()}" for d in self.diagnostics)
         return "\n".join(lines)
+
+
+def _clone_node(
+    node: PlanNode,
+    replacements: dict[str, StreamSource],
+    rebound: set[str],
+    tracer,
+    memo: dict[int, PlanNode],
+) -> PlanNode:
+    """Fresh runtime copy of *node* and its inputs for :meth:`CompiledPlan.instantiate`.
+
+    Source nodes named in *replacements* bind the replacement (their names
+    are added to *rebound*); every clone gets a fresh FWindow and operator
+    state.  A module-level function for the same reason as
+    :func:`_build_node`.
+    """
+    existing = memo.get(id(node))
+    if existing is not None:
+        return existing
+    if isinstance(node, SourceNode):
+        source = replacements.get(node.name, node.source)
+        if node.name in replacements:
+            rebound.add(node.name)
+        if source.descriptor != node.source.descriptor:
+            raise CompilationError(
+                f"cannot instantiate plan: replacement source {node.name!r} "
+                f"has descriptor {source.descriptor} but the plan was "
+                f"compiled for {node.source.descriptor}; recompile for "
+                f"streams on a different grid"
+            )
+        fresh: PlanNode = SourceNode(node.name, source)
+    else:
+        fresh = OperatorNode(
+            node.name,
+            node.operator,
+            [_clone_node(child, replacements, rebound, tracer, memo) for child in node.inputs],
+        )
+        fresh.state = node.operator.make_state()
+    fresh.dimension = node.dimension
+    if node.fwindow is not None:
+        fresh.fwindow = FWindow(fresh.descriptor, node.dimension, name=node.name, tracer=tracer)
+    memo[id(node)] = fresh
+    return fresh
 
 
 def compile_plan(

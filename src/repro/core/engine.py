@@ -18,24 +18,34 @@ Typical use::
     engine = LifeStreamEngine()
     result = engine.run(query, sources={"ecg": ecg})
 
-Run-lowered execution of the same query is a constructor argument away;
-the serial backend stays the default and the reference semantics::
+One-shot runs use run-lowered execution
+(:class:`~repro.core.runtime.backends.VectorizedBackend`) unless given a
+backend: its run buffers hold at most
+:data:`~repro.core.runtime.vectorized.RUN_SLOT_BUDGET` grid slots each, and
+runs of one window compute in the plan's own FWindows.  Plans that cannot
+lower run serially and say so in ``result.stats.execution_mode``.
+Streaming sessions opened without a backend tick serially.  The serial
+window loop stays the reference semantics, a constructor argument away::
 
-    from repro.core.runtime import VectorizedBackend
+    from repro.core.runtime import SerialBackend
 
-    engine = LifeStreamEngine(backend=VectorizedBackend())
+    engine = LifeStreamEngine(backend=SerialBackend())
 """
 
 from __future__ import annotations
 
 from repro.core.compiler import MAX_OPTIMIZATION_LEVEL, CompiledPlan, compile_plan
 from repro.core.query import Query
-from repro.core.runtime.backends import ExecutionBackend
-from repro.core.runtime.executor import execute_plan
+from repro.core.runtime.backends import ExecutionBackend, VectorizedBackend
 from repro.core.runtime.result import StreamResult
 from repro.core.sources import StreamSource
 from repro.core.timeutil import TICKS_PER_MINUTE
 from repro.errors import ExecutionError, QueryConstructionError
+
+
+#: The backend one-shot runs use when neither the engine nor the call names
+#: one.  Stateless: its run buffers live on each plan's run executor.
+DEFAULT_RUN_BACKEND = VectorizedBackend()
 
 
 class CompiledQuery:
@@ -70,7 +80,12 @@ class CompiledQuery:
 
     @property
     def backend(self) -> ExecutionBackend | None:
-        """The execution backend runs will use (None = serial)."""
+        """The execution backend given at compile time.
+
+        None means the defaults: one-shot :meth:`run` uses
+        :data:`DEFAULT_RUN_BACKEND` (vectorized, falling back to serial for
+        plans that cannot lower) and :meth:`open_session` ticks serially.
+        """
         return self._backend
 
     def explain(self) -> str:
@@ -88,7 +103,8 @@ class CompiledQuery:
         ``targeted`` overrides the engine-level setting for this run, which
         is how the ablation benchmarks compare targeted against eager
         processing on the same compiled plan; ``backend`` likewise overrides
-        the engine-level execution backend.
+        the engine-level execution backend.  With neither set, the run is
+        vectorized (:data:`DEFAULT_RUN_BACKEND`).
         """
         if self._session is not None:
             raise ExecutionError(
@@ -99,9 +115,9 @@ class CompiledQuery:
             )
         use_targeted = self._targeted if targeted is None else targeted
         use_backend = self._backend if backend is None else backend
-        result = execute_plan(
-            self._plan, targeted=use_targeted, collect=collect, backend=use_backend
-        )
+        if use_backend is None:
+            use_backend = DEFAULT_RUN_BACKEND
+        result = use_backend.execute(self._plan, targeted=use_targeted, collect=collect)
         self.last_stats = result.stats
         return result
 
@@ -117,6 +133,9 @@ class CompiledQuery:
         ``run()`` is rejected until it is closed.  Pass ``checkpoint=`` (a
         dict from :meth:`StreamingSession.checkpoint` or a path to a pickled
         one) to resume a previous session's stream position and carries.
+        Without a backend here or at compile time, the session ticks
+        serially: live ticks are mostly single windows, and the adaptive
+        service moves hot sessions onto the vectorized backend by profile.
         """
         from repro.core.runtime.session import StreamingSession
 

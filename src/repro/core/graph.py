@@ -54,21 +54,25 @@ class PlanNode:
 
     def iter_nodes(self):
         """Yield every node reachable from this one (post-order, deduplicated)."""
-        seen: set[int] = set()
-
-        def walk(node: "PlanNode"):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for child in node.inputs:
-                yield from walk(child)
-            yield node
-
-        yield from walk(self)
+        yield from _walk(self, set())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dim = f"[{self.dimension}]" if self.dimension else ""
         return f"<{type(self).__name__} {self.name} {self.descriptor}{dim}>"
+
+
+def _walk(node: PlanNode, seen: set[int]):
+    """Post-order walk behind :meth:`PlanNode.iter_nodes`.
+
+    Module-level rather than a recursive closure, which would be a reference
+    cycle left for the cyclic garbage collector on every walk.
+    """
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for child in node.inputs:
+        yield from _walk(child, seen)
+    yield node
 
 
 class SourceNode(PlanNode):

@@ -214,9 +214,9 @@ class PlanProfile:
 
         The vectorized run cap (``max_run_windows``): run buffers should
         hold the longest runs the coverage actually forms (next power of two
-        above the largest histogram bucket), instead of the static
-        512-window worst case.  The fusion cut and backend are left to the
-        caller.
+        above the largest histogram bucket), an upper bound under the
+        slot budget's per-plan cap.  The fusion cut and backend are left to
+        the caller.
         """
         from repro.core.compiler.hints import CompileHints
 

@@ -15,10 +15,13 @@ This module lowers window loops onto that observation:
   **runs of consecutive windows** — disjoint, and exactly tiling the window
   starts the serial executor would visit;
 * :class:`RunExecutor` allocates one contiguous run buffer (an FWindow of
-  dimension ``count * D``) per run per stream — not per window — and pulls
-  each run through the graph in a single walk, dispatching every lowerable
-  operator's :meth:`~repro.core.operators.base.Operator.compute_run` as one
-  NumPy array program over the whole run;
+  dimension ``count * D``) per run length per stream — not per window — and
+  pulls each run through the graph in a single walk, dispatching every
+  lowerable operator's :meth:`~repro.core.operators.base.Operator.compute_run`
+  as one NumPy array program over the whole run.  Runs of one window use
+  the plan's own statically planned FWindows, and runs are capped at
+  :data:`RUN_SLOT_BUDGET` slots per buffer, so run buffers stay cache-sized
+  and plans with wide windows allocate nothing beyond their memory plan;
 * operators that are not lowerable (``batch_safe`` is False, or no
   ``compute_run`` implementation) fall back **per node** to the serial
   semantics: the default ``compute_run`` drives the operator's ordinary
@@ -54,11 +57,14 @@ from repro.core.intervals import IntervalSet
 from repro.core.operators.base import Operator
 from repro.errors import ExecutionError
 
-#: Default cap on windows per run buffer.  Long eager spans are chunked into
-#: consecutive runs of at most this many windows, bounding run-buffer memory;
-#: chunking is exact (a chunk boundary is just another run boundary, and
-#: stateful operators carry across it exactly as they carry across windows).
-DEFAULT_MAX_RUN_WINDOWS = 512
+#: Grid slots one run buffer may hold.  A plan's default run cap is this
+#: budget divided by its widest node's per-window capacity, so run buffers
+#: stay about cache-sized (256 KiB of values per node) whatever the window
+#: size; long spans are chunked into consecutive runs of at most that many
+#: windows.  Chunking is exact: a chunk boundary is just another run
+#: boundary, and stateful operators carry across it exactly as they carry
+#: across windows.
+RUN_SLOT_BUDGET = 32_768
 
 
 # ---------------------------------------------------------------------------
@@ -241,28 +247,39 @@ class RunExecutor:
     """Pulls runs of consecutive windows through a plan graph.
 
     One contiguous run buffer (an FWindow of dimension ``count * D``) is
-    allocated per node and reused across runs of the same length; lowered
+    allocated per node and reused across runs of the same length; a run of
+    one window uses each node's planned ``fwindow`` instead.  Lowered
     operators compute the whole run in one call, the rest fall back to the
     window-by-window default over zero-copy subwindow views.  The executor
     reads and advances the plan nodes' own ``state`` and
     ``windows_computed``, so one-shot runs, resumed sessions and checkpoints
     all see exactly the serial executor's bookkeeping.
+
+    The executor holds the plan's sink, not the plan: plans cache their
+    executor, and a reference back would make every plan a reference cycle
+    that only the cyclic garbage collector frees, FWindows and all.
     """
 
-    def __init__(self, plan, info: VectorPlanInfo | None = None) -> None:
-        self.plan = plan
-        self.info = plan_vector_info(plan) if info is None else info
+    def __init__(self, sink: PlanNode, info: VectorPlanInfo | None = None) -> None:
+        self.sink = sink
+        self.info = analyze_plan(sink) if info is None else info
         if not self.info.runnable:
             raise ExecutionError(
                 f"plan is not run-lowerable: {self.info.reason}; "
                 f"execute it with the serial backend instead"
             )
+        #: Longest run the slot budget allows: one run buffer per node holds
+        #: at most :data:`RUN_SLOT_BUDGET` grid slots.
+        widest = max(
+            node.dimension // node.descriptor.period for node in topological_order(sink)
+        )
+        self.max_run_windows = max(1, RUN_SLOT_BUDGET // widest)
         #: Names of operator nodes that executed window-by-window (at least
         #: once) — the honest-execution-mode report reads this.
         self.fallback_nodes: set[str] = set()
-        #: High-water mark of run-buffer bytes allocated by this executor.
+        #: High-water mark of run-buffer bytes allocated by this executor
+        #: (planned FWindows reused for one-window runs are not counted).
         self.peak_buffer_bytes = 0
-        self._pool_bytes = 0
         #: All buffers ever allocated, keyed by (node, run length) — coverage
         #: gaps make run lengths alternate between a handful of values, and
         #: reusing the matching buffer instead of reallocating keeps the
@@ -279,6 +296,10 @@ class RunExecutor:
         self._bound: dict[int, list] = {}
 
     def _buffer(self, node: PlanNode, count: int) -> FWindow:
+        if count == 1 and node.fwindow is not None:
+            # A one-window run is an ordinary window: the statically planned
+            # FWindow already has exactly its geometry.
+            return node.fwindow
         key = (id(node), count)
         window = self._pool.get(key)
         if window is None:
@@ -289,8 +310,7 @@ class RunExecutor:
                 monotonic=False,
             )
             self._pool[key] = window
-            self._pool_bytes += window.memory_bytes()
-            self.peak_buffer_bytes = max(self.peak_buffer_bytes, self._pool_bytes)
+            self.peak_buffer_bytes += window.memory_bytes()
         return window
 
     def _build_schedule(self, start: int) -> list[tuple[PlanNode, int]]:
@@ -301,28 +321,7 @@ class RunExecutor:
         but replaces the per-run recursion with a flat replayable list.
         """
         order: list[tuple[PlanNode, int]] = []
-        positions: dict[int, int] = {}
-
-        def visit(node: PlanNode, node_start: int) -> None:
-            key = id(node)
-            if key in positions:
-                if positions[key] != node_start:
-                    raise ExecutionError(
-                        f"node {node.name} is multicast at inconsistent "
-                        f"positions {positions[key]} and {node_start}"
-                    )
-                return
-            positions[key] = node_start
-            if isinstance(node, OperatorNode):
-                operator = node.operator
-                for index, upstream in enumerate(node.inputs):
-                    visit(
-                        upstream,
-                        operator.input_sync_time(node_start, index, upstream.descriptor),
-                    )
-            order.append((node, node_start - start))
-
-        visit(self.plan.sink, start)
+        _visit(self.sink, start, start, {}, order)
         return order
 
     def _bind(self, count: int) -> list:
@@ -358,7 +357,7 @@ class RunExecutor:
         """
         start = int(start)
         count = int(count)
-        phase = start % self.plan.sink.dimension
+        phase = start % self.sink.dimension
         if self._schedule is None or self._schedule_phase != phase:
             self._schedule = self._build_schedule(start)
             self._schedule_phase = phase
@@ -399,3 +398,39 @@ class RunExecutor:
         values.append(window.values[indices])
         durations.append(window.durations[indices])
         return int(indices.size)
+
+
+def _visit(
+    node: PlanNode,
+    node_start: int,
+    start: int,
+    positions: dict[int, int],
+    order: list[tuple[PlanNode, int]],
+) -> None:
+    """Append *node* and its unvisited upstream nodes to the fill *order*.
+
+    A module-level function rather than a closure: a recursive closure is a
+    reference cycle (the function holds the cell that holds the function),
+    which would keep *order*, and so every plan node, alive until the cyclic
+    garbage collector runs.
+    """
+    key = id(node)
+    if key in positions:
+        if positions[key] != node_start:
+            raise ExecutionError(
+                f"node {node.name} is multicast at inconsistent "
+                f"positions {positions[key]} and {node_start}"
+            )
+        return
+    positions[key] = node_start
+    if isinstance(node, OperatorNode):
+        operator = node.operator
+        for index, upstream in enumerate(node.inputs):
+            _visit(
+                upstream,
+                operator.input_sync_time(node_start, index, upstream.descriptor),
+                start,
+                positions,
+                order,
+            )
+    order.append((node, node_start - start))

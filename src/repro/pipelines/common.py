@@ -11,16 +11,17 @@ BACKEND_NAMES = ("serial", "vectorized")
 def backend_from_name(name: str):
     """Build the execution backend the CLI flag *name* selects.
 
-    ``"serial"`` returns ``None`` (the engine default) so callers can pass
-    the result straight to :class:`~repro.core.engine.LifeStreamEngine`.
-    The special name ``"auto"`` is resolved per-plan by the callers that
-    support it (via :func:`~repro.core.runtime.backends.recommend_backend`)
-    and is deliberately rejected here.
+    Always an explicit backend object, never ``None``: an engine given
+    ``None`` runs one-shot queries vectorized, so ``"serial"`` must name
+    :class:`~repro.core.runtime.backends.SerialBackend` itself.  The special
+    name ``"auto"`` is resolved per-plan by the callers that support it (via
+    :func:`~repro.core.runtime.backends.recommend_backend`) and is
+    deliberately rejected here.
     """
-    from repro.core.runtime.backends import VectorizedBackend
+    from repro.core.runtime.backends import SerialBackend, VectorizedBackend
 
     if name == "serial":
-        return None
+        return SerialBackend()
     if name == "vectorized":
         return VectorizedBackend()
     raise ValueError(

@@ -78,13 +78,15 @@ def run_lifestream_e2e(
 ) -> PipelineRun:
     """Run the Figure 3 pipeline on LifeStream.
 
-    ``backend`` selects the execution backend (serial when None) and
+    ``backend`` selects the execution backend (the engine's one-shot
+    default, vectorized, when None) and
     ``optimization_level`` the compiler pipeline's rewriting passes — the
     knobs backend-comparison sweeps vary.  A string
     backend is resolved by name (the CLI path); ``"auto"`` defers the choice
     to :func:`~repro.core.runtime.backends.recommend_backend` once the
     compiled plan's window geometry is known.
     """
+    from repro.core.runtime.backends import SerialBackend
     from repro.core.sources import ArraySource
     from repro.pipelines.common import backend_from_name
 
@@ -108,19 +110,17 @@ def run_lifestream_e2e(
     if auto_backend:
         from repro.core.runtime.backends import recommend_backend
 
-        backend, backend_reason = recommend_backend(compiled.plan, targeted=targeted)
+        backend, backend_reason = recommend_backend(compiled.plan)
         result = compiled.run(backend=backend)
     else:
         result = compiled.run()
     elapsed = time.perf_counter() - began
-    backend_label = getattr(backend, "name", "serial")
-    if backend_label == "vectorized":
-        # Label the path that actually executed (including partial
-        # fallback) so backend sweeps report honest numbers; the stats
-        # carry the blocking property in fallback_reason.
-        backend_label = result.stats.execution_mode
-        if backend_label == "serial":
-            backend_label = "serial (vectorized fallback)"
+    # Label the path that actually executed (including partial fallback) so
+    # backend sweeps report honest numbers; the stats carry the blocking
+    # property in fallback_reason.
+    backend_label = result.stats.execution_mode
+    if backend_label == "serial" and not isinstance(backend, SerialBackend):
+        backend_label = "serial (vectorized fallback)"
     if auto_backend:
         backend_label = f"{backend_label} (auto)"
     extra = {

@@ -660,9 +660,7 @@ class StreamingService:
         if profile is None or profile.ticks < self.adapt_after_ticks:
             return False
         targeted = record.session.targeted
-        backend, reason = recommend_backend(
-            record.compiled.plan, targeted=targeted, profile=profile
-        )
+        backend, reason = recommend_backend(record.compiled.plan, profile=profile)
         hints = replace(profile.hints(), backend=backend.name)
         current_hints = record.compiled.plan.hints
         current_cut = None if current_hints is None else current_hints.max_fusion_length

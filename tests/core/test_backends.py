@@ -5,6 +5,9 @@ and vectorized, the latter also under several run caps), produce bit-identical
 StreamResults across operator-chain queries in both targeted and eager
 modes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -117,7 +120,7 @@ class TestBackendParity:
         source = _gappy_source()
         engine = LifeStreamEngine(window_size=1000)
         compiled = engine.compile(CHAIN_QUERIES["elementwise"](), {"s": source})
-        serial = compiled.run()
+        serial = compiled.run(backend=SerialBackend())
         vectorized = compiled.run(backend=VectorizedBackend(max_run_windows=8))
         assert vectorized.stats.execution_mode == "vectorized"
         _assert_identical(serial, vectorized, "per-run backend override")
@@ -208,11 +211,13 @@ class TestExecutionModeHonesty:
         result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
         assert result.stats.execution_mode == "serial"
 
-    def test_default_backend_reports_serial(self):
+    def test_default_backend_reports_vectorized(self):
+        # One-shot runs default to run-lowered execution.
         result = LifeStreamEngine(window_size=1000).run(
             CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()}
         )
-        assert result.stats.execution_mode == "serial"
+        assert result.stats.execution_mode == "vectorized"
+        assert result.stats.fallback_reason is None
 
     def test_vectorized_reports_vectorized_when_fully_lowered(self):
         engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
@@ -231,7 +236,9 @@ class TestExecutionModeHonesty:
         engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
         result = engine.run(query, {"s": _gappy_source()})
         assert result.stats.execution_mode == "vectorized+serial-fallback"
-        reference = LifeStreamEngine(window_size=1000).run(query, {"s": _gappy_source()})
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
+            query, {"s": _gappy_source()}
+        )
         _assert_identical(reference, result, "partial fallback parity")
 
     def test_vectorized_worthless_plan_reports_serial(self):
@@ -272,3 +279,47 @@ class TestExecutionModeHonesty:
         session.finish()
         assert session.result().stats.execution_mode == "serial"
         session.close()
+
+
+class TestPlanLifetime:
+    """Dropped plans must be freed by reference counting alone, and runs
+    must not leave cyclic garbage behind.
+
+    A reference cycle through a plan would keep its whole graph, FWindows
+    included, alive until the cyclic garbage collector happens to run —
+    which run-lowered execution, allocating few Python objects, triggers
+    rarely."""
+
+    @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
+    def test_dropped_plan_is_freed_without_the_cycle_collector(self, backend_name):
+        from repro.serve.cache import PlanCache
+
+        gc.collect()
+        gc.disable()
+        try:
+            for plan_cache in (None, PlanCache()):
+                engine = LifeStreamEngine(window_size=1000, plan_cache=plan_cache)
+                compiled = engine.compile(
+                    CHAIN_QUERIES["multicast-join"](), {"s": _gappy_source()}
+                )
+                compiled.run(backend=BACKENDS[backend_name]())
+                sink = weakref.ref(compiled.plan.sink)
+                del compiled
+                assert sink() is None, f"plan cache {plan_cache}"
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
+    def test_runs_leave_no_cyclic_garbage(self, backend_name):
+        compiled = LifeStreamEngine(window_size=1000).compile(
+            CHAIN_QUERIES["multicast-join"](), {"s": _gappy_source()}
+        )
+        backend = BACKENDS[backend_name]()
+        compiled.run(backend=backend)
+        gc.collect()
+        gc.disable()
+        try:
+            compiled.run(backend=backend)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

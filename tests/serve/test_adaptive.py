@@ -232,6 +232,27 @@ class TestRecommendBackend:
         assert isinstance(reason, str) and reason
         assert backend.name in {"serial", "vectorized"}
 
+    def test_static_choice_is_vectorized_whenever_the_plan_lowers(self):
+        # Every other window is empty, so the coverage forms one-window runs
+        # only: lowered kernels still batch rows inside each window.
+        times = np.arange(0, 40000, 2, dtype=np.int64)
+        times = times[(times // WINDOW_SIZE) % 2 == 0]
+        source = ArraySource(times, np.sin(times * 0.01), period=2)
+        compiled = LifeStreamEngine(window_size=WINDOW_SIZE).compile(
+            _hot_query(), {"s": source}
+        )
+        backend, reason = recommend_backend(compiled.plan)
+        assert isinstance(backend, VectorizedBackend)
+        assert backend.max_run_windows is None
+        assert "lower to array programs" in reason
+        # Plans with nothing to lower stay serial.
+        query = Query.source("s", frequency_hz=500).multicast(
+            lambda s: s.clip_join(s, lambda a, b: a + b)
+        )
+        backend, reason = recommend_backend(self._plan(query))
+        assert isinstance(backend, SerialBackend)
+        assert "lowers to a run kernel" in reason
+
     def test_profiled_long_runs_pick_vectorized_with_sized_cap(self):
         profile = PlanProfile()
         for _ in range(5):
