@@ -105,13 +105,7 @@ def build_plan(query: Query, sources: dict[str, StreamSource] | None = None) -> 
 def _build_node(
     spec: QuerySpec, sources: dict[str, StreamSource], memo: dict[int, PlanNode]
 ) -> PlanNode:
-    """The plan node for *spec*, built once per spec node (*memo*).
-
-    Recursive helpers of the plan graph are module-level functions, not
-    closures: a recursive closure is a reference cycle through its own cell,
-    and its memo would keep the whole graph, FWindows included, alive until
-    the cyclic garbage collector runs.
-    """
+    """The plan node for *spec*, built once per spec node (*memo*)."""
     existing = memo.get(id(spec))
     if existing is not None:
         return existing
@@ -253,8 +247,7 @@ def _clone_node(
 
     Source nodes named in *replacements* bind the replacement (their names
     are added to *rebound*); every clone gets a fresh FWindow and operator
-    state.  A module-level function for the same reason as
-    :func:`_build_node`.
+    state.
     """
     existing = memo.get(id(node))
     if existing is not None:

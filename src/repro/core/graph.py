@@ -61,12 +61,13 @@ class PlanNode:
         return f"<{type(self).__name__} {self.name} {self.descriptor}{dim}>"
 
 
+# Recursive helpers over plan graphs (this one, plan building and cloning
+# in the compiler, the run executor's schedule walk) are module-level
+# functions, not nested closures: a recursive closure references itself
+# through its own cell, so each call would leave a reference cycle that
+# holds the graph, FWindows included, until the cyclic garbage collector runs.
 def _walk(node: PlanNode, seen: set[int]):
-    """Post-order walk behind :meth:`PlanNode.iter_nodes`.
-
-    Module-level rather than a recursive closure, which would be a reference
-    cycle left for the cyclic garbage collector on every walk.
-    """
+    """Post-order walk behind :meth:`PlanNode.iter_nodes`."""
     if id(node) in seen:
         return
     seen.add(id(node))

@@ -76,7 +76,7 @@ def vectorized_fallback_reason(plan: CompiledPlan) -> str:
     soundness failure (including which node scales time), or the absence of
     any lowerable operator — so the fallback is attributable in
     :attr:`~repro.core.runtime.result.ExecutionStats.fallback_reason` and in
-    ``--backend auto`` pipeline output.
+    :func:`recommend_backend`'s reason.
     """
     if plan.tracer is not None:
         return "plan carries a cache tracer, which models per-window buffer touches"
@@ -208,44 +208,32 @@ class VectorizedBackend(ExecutionBackend):
         return events, bool(executor.fallback_nodes)
 
 
-def recommend_backend(plan: CompiledPlan, profile=None) -> tuple[ExecutionBackend, str]:
-    """Choose between vectorized and serial execution for *plan* and say why.
+def recommend_backend(plan: CompiledPlan, profile) -> tuple[ExecutionBackend, str]:
+    """Choose between vectorized and serial ticks for a live session's *plan*.
 
     Returns ``(backend, reason)`` — the reason is a human-readable sentence
-    surfaced by ``--backend auto`` pipelines and recorded by the adaptive
-    serving layer, so backend choices are auditable rather than silent.
-
-    Without a profile, run execution wins whenever some operator lowers:
-    even isolated one-window runs gain, because lowered kernels batch the
-    rows of a window (a transform's sliding rows, say) that serial
-    execution computes one at a time.  With a
-    :class:`~repro.core.runtime.profile.PlanProfile` (measured ticks of a
-    live session), the *observed* mean run length decides instead, and the
-    profile's histogram sizes the vectorized run cap.
+    the adaptive serving layer records, so backend choices are auditable
+    rather than silent.  The :class:`~repro.core.runtime.profile.PlanProfile`
+    (measured ticks of live sessions) decides: when ticks form runs of two
+    or more consecutive windows on average, lowered operators amortise the
+    per-window overhead over them, and the profile's histogram sizes the
+    vectorized run cap.  Plans the vectorized backend would run serially
+    anyway get :class:`SerialBackend`, with
+    :func:`vectorized_fallback_reason` as the reason.
     """
     if not plan_lowers(plan):
-        return SerialBackend(), (
-            f"{vectorized_fallback_reason(plan)}; windows run one at a time"
+        return SerialBackend(), vectorized_fallback_reason(plan)
+    mean_run = profile.mean_run_length
+    if mean_run >= 2.0:
+        cap = profile.hints().max_run_windows
+        return VectorizedBackend(max_run_windows=cap), (
+            f"profile over {profile.ticks} tick(s) measured mean runs of "
+            f"{mean_run:.1f} consecutive window(s); lowerable operators "
+            f"amortise per-window overhead over runs "
+            f"(cap {cap if cap is not None else 'from the slot budget'})"
         )
-
-    if profile is not None and profile.window_runs > 0:
-        mean_run = profile.mean_run_length
-        if mean_run >= 2.0:
-            cap = profile.hints().max_run_windows
-            return VectorizedBackend(max_run_windows=cap), (
-                f"profile over {profile.ticks} tick(s) measured mean runs of "
-                f"{mean_run:.1f} consecutive window(s); lowerable operators "
-                f"amortise per-window overhead over runs "
-                f"(cap {cap if cap is not None else 'from the slot budget'})"
-            )
-        return SerialBackend(), (
-            f"profile over {profile.ticks} tick(s) measured mostly isolated "
-            f"windows (mean run {mean_run:.1f}); run execution has nothing "
-            f"to amortise"
-        )
-
-    info = plan_vector_info(plan)
-    return VectorizedBackend(), (
-        f"{info.lowered_operators}/{info.operator_nodes} operator node(s) lower "
-        f"to array programs"
+    return SerialBackend(), (
+        f"profile over {profile.ticks} tick(s) measured mostly isolated "
+        f"windows (mean run {mean_run:.1f}); run execution has nothing "
+        f"to amortise"
     )

@@ -321,8 +321,8 @@ class RunExecutor:
         but replaces the per-run recursion with a flat replayable list.
         """
         order: list[tuple[PlanNode, int]] = []
-        _visit(self.sink, start, start, {}, order)
-        return order
+        _visit(self.sink, start, {}, order)
+        return [(node, node_start - start) for node, node_start in order]
 
     def _bind(self, count: int) -> list:
         """Bind the schedule to the run buffers for run length *count*."""
@@ -403,17 +403,11 @@ class RunExecutor:
 def _visit(
     node: PlanNode,
     node_start: int,
-    start: int,
     positions: dict[int, int],
     order: list[tuple[PlanNode, int]],
 ) -> None:
-    """Append *node* and its unvisited upstream nodes to the fill *order*.
-
-    A module-level function rather than a closure: a recursive closure is a
-    reference cycle (the function holds the cell that holds the function),
-    which would keep *order*, and so every plan node, alive until the cyclic
-    garbage collector runs.
-    """
+    """Append *node* and its unvisited upstream nodes, with their window
+    starts, to the fill *order*."""
     key = id(node)
     if key in positions:
         if positions[key] != node_start:
@@ -429,8 +423,7 @@ def _visit(
             _visit(
                 upstream,
                 operator.input_sync_time(node_start, index, upstream.descriptor),
-                start,
                 positions,
                 order,
             )
-    order.append((node, node_start - start))
+    order.append((node, node_start))

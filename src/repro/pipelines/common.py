@@ -13,10 +13,7 @@ def backend_from_name(name: str):
 
     Always an explicit backend object, never ``None``: an engine given
     ``None`` runs one-shot queries vectorized, so ``"serial"`` must name
-    :class:`~repro.core.runtime.backends.SerialBackend` itself.  The special
-    name ``"auto"`` is resolved per-plan by the callers that support it (via
-    :func:`~repro.core.runtime.backends.recommend_backend`) and is
-    deliberately rejected here.
+    :class:`~repro.core.runtime.backends.SerialBackend` itself.
     """
     from repro.core.runtime.backends import SerialBackend, VectorizedBackend
 

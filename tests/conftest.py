@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import LifeStreamEngine
+from repro.core.runtime import SerialBackend
 from repro.core.sources import ArraySource
 
 
@@ -35,10 +36,16 @@ def pytest_pyfunc_call(pyfuncitem):
     return None
 
 
-@pytest.fixture
-def engine() -> LifeStreamEngine:
-    """A LifeStream engine with a small window so tests exercise several windows."""
-    return LifeStreamEngine(window_size=1000)
+@pytest.fixture(params=["serial", "default"])
+def engine(request) -> LifeStreamEngine:
+    """A LifeStream engine with a small window so tests exercise several windows.
+
+    Every test using it runs twice: on the serial reference backend, whose
+    per-window ``compute`` paths the hand-computed expectations check, and
+    on the engine's default one-shot backend (vectorized run execution).
+    """
+    backend = SerialBackend() if request.param == "serial" else None
+    return LifeStreamEngine(window_size=1000, backend=backend)
 
 
 @pytest.fixture

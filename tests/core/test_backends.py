@@ -90,15 +90,19 @@ def _assert_identical(reference, candidate, label):
 
 
 class TestFusionParity:
+    @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
     @pytest.mark.parametrize("name", sorted(CHAIN_QUERIES))
     @pytest.mark.parametrize("targeted", [True, False])
-    def test_fused_matches_unfused(self, name, targeted):
+    def test_fused_matches_unfused(self, backend_name, name, targeted):
         source = _gappy_source()
-        unfused = LifeStreamEngine(window_size=1000, optimization_level=0)
-        fused = LifeStreamEngine(window_size=1000, optimization_level=2)
-        reference = unfused.run(CHAIN_QUERIES[name](), {"s": source}, targeted=targeted)
+        reference = LifeStreamEngine(
+            window_size=1000, optimization_level=0, backend=SerialBackend()
+        ).run(CHAIN_QUERIES[name](), {"s": source}, targeted=targeted)
+        fused = LifeStreamEngine(
+            window_size=1000, optimization_level=2, backend=BACKENDS[backend_name]()
+        )
         candidate = fused.run(CHAIN_QUERIES[name](), {"s": source}, targeted=targeted)
-        _assert_identical(reference, candidate, f"{name} targeted={targeted}")
+        _assert_identical(reference, candidate, f"{name} on {backend_name} targeted={targeted}")
 
 
 class TestBackendParity:
@@ -107,9 +111,9 @@ class TestBackendParity:
     @pytest.mark.parametrize("targeted", [True, False])
     def test_backends_bit_identical(self, backend_name, query_name, targeted):
         source = _gappy_source()
-        reference = LifeStreamEngine(window_size=1000, optimization_level=0).run(
-            CHAIN_QUERIES[query_name](), {"s": source}, targeted=targeted
-        )
+        reference = LifeStreamEngine(
+            window_size=1000, optimization_level=0, backend=SerialBackend()
+        ).run(CHAIN_QUERIES[query_name](), {"s": source}, targeted=targeted)
         engine = LifeStreamEngine(window_size=1000, backend=BACKENDS[backend_name]())
         candidate = engine.run(CHAIN_QUERIES[query_name](), {"s": source}, targeted=targeted)
         _assert_identical(
@@ -125,7 +129,8 @@ class TestBackendParity:
         assert vectorized.stats.execution_mode == "vectorized"
         _assert_identical(serial, vectorized, "per-run backend override")
 
-    def test_long_shift_emits_at_shifted_times(self):
+    @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
+    def test_long_shift_emits_at_shifted_times(self, backend_name):
         # A shift spanning several windows must delay events by exactly the
         # offset (regression: the carry used to clamp to one window).
         n = 40
@@ -135,15 +140,17 @@ class TestBackendParity:
         for offset in (80, 120):
             query = Query.source("s", period=10).shift(offset)
             for opt in (0, 2):
-                engine = LifeStreamEngine(window_size=40, optimization_level=opt)
+                engine = LifeStreamEngine(
+                    window_size=40, optimization_level=opt, backend=BACKENDS[backend_name]()
+                )
                 result = engine.run(query, {"s": source})
                 np.testing.assert_array_equal(result.times, times + offset)
                 np.testing.assert_array_equal(result.values, values)
             # Fused chains use the same FIFO.
             chained = Query.source("s", period=10).select(lambda v: v).shift(offset)
-            result = LifeStreamEngine(window_size=40, optimization_level=2).run(
-                chained, {"s": source}
-            )
+            result = LifeStreamEngine(
+                window_size=40, optimization_level=2, backend=BACKENDS[backend_name]()
+            ).run(chained, {"s": source})
             np.testing.assert_array_equal(result.times, times + offset)
             np.testing.assert_array_equal(result.values, values)
 
@@ -170,7 +177,7 @@ class TestBackendParity:
         query = Query.source("s", frequency_hz=500).select(lambda v: v).shift(3000)
         engine = LifeStreamEngine(window_size=1000)
         compiled = engine.compile(query, {"s": source})
-        reference = compiled.run()
+        reference = compiled.run(backend=SerialBackend())
         candidate = compiled.run(backend=VectorizedBackend(max_run_windows=2))
         _assert_identical(reference, candidate, "long shift across runs")
 

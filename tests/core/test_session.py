@@ -111,7 +111,7 @@ class TestSessionParity:
     @pytest.mark.parametrize("backend_name", sorted(SESSION_BACKENDS))
     @pytest.mark.parametrize("targeted", [True, False])
     def test_incremental_matches_one_shot(self, query_name, backend_name, targeted):
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES[query_name](), {"s": _source()}, targeted=targeted
         )
         result, _ = _run_session(
@@ -158,7 +158,7 @@ class TestSessionParity:
         session = engine.open_session(SESSION_QUERIES["elementwise"](), {"s": _source()})
         session.poll()
         session.finish()
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["elementwise"](), {"s": _source()}
         )
         _assert_identical(reference, session.result())
@@ -184,7 +184,7 @@ class TestTwoSourceSessions:
         return {"left": left, "right": right}
 
     def test_uneven_watermarks_match_one_shot(self):
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             self._two_source_query(), self._sources(replay=False)
         )
         engine = LifeStreamEngine(window_size=1000)
@@ -211,7 +211,7 @@ class TestSessionCheckpoint:
     @pytest.mark.parametrize("query_name", sorted(SESSION_QUERIES))
     def test_checkpoint_restore_round_trip(self, query_name, tmp_path):
         """Kill/checkpoint/restore mid-stream reproduces the one-shot output."""
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES[query_name](), {"s": _source()}
         )
         result, _ = _run_session(
@@ -224,7 +224,7 @@ class TestSessionCheckpoint:
         _assert_identical(reference, result, f"{query_name} checkpoint round trip")
 
     def test_checkpoint_restore_vectorized(self, tmp_path):
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["shift-chain"](), {"s": _source()}
         )
         result, _ = _run_session(
@@ -250,7 +250,7 @@ class TestSessionCheckpoint:
             checkpoint=state,
         )
         restored.finish()
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["sliding"](), {"s": _source()}
         )
         _assert_identical(reference, restored.result())
@@ -475,7 +475,7 @@ class TestSessionLifecycle:
     def test_failed_second_open_does_not_corrupt_live_session(self):
         # Regression: the rejected open used to reset the shared plan's
         # operator carries before the exclusivity check fired.
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["shift-chain"](), {"s": _source()}
         )
         engine = LifeStreamEngine(window_size=1000)
@@ -520,7 +520,7 @@ class TestSessionLifecycle:
         assert repeat.windows_run == 0
         assert repeat.events_emitted == 0
         session.finish()
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["elementwise"](), {"s": _source()}
         )
         _assert_identical(reference, session.result(), "after rejected regression")

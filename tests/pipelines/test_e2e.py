@@ -43,6 +43,16 @@ class TestEngines:
         assert run.events_ingested == ecg[0].size + abp[0].size
         assert run.throughput_events_per_second > 0
 
+    def test_backend_label_names_the_backend_that_ran(self, dataset):
+        # A named serial backend must run serially even though the engine's
+        # own one-shot default is vectorized.
+        ecg, abp = dataset
+        serial = run_lifestream_e2e(ecg, abp, backend="serial")
+        vectorized = run_lifestream_e2e(ecg, abp, backend="vectorized")
+        assert serial.extra["backend"] == "serial"
+        assert vectorized.extra["backend"] in {"vectorized", "vectorized+serial-fallback"}
+        assert serial.events_emitted == vectorized.events_emitted
+
     def test_trill_produces_joined_events(self, dataset):
         ecg, abp = dataset
         run = run_trill_e2e(ecg, abp)

@@ -227,32 +227,6 @@ class TestRecommendBackend:
             query or _hot_query(), {"s": ReplaySource(_dense_source(2000))}
         ).plan
 
-    def test_static_choice_returns_reason(self):
-        backend, reason = recommend_backend(self._plan())
-        assert isinstance(reason, str) and reason
-        assert backend.name in {"serial", "vectorized"}
-
-    def test_static_choice_is_vectorized_whenever_the_plan_lowers(self):
-        # Every other window is empty, so the coverage forms one-window runs
-        # only: lowered kernels still batch rows inside each window.
-        times = np.arange(0, 40000, 2, dtype=np.int64)
-        times = times[(times // WINDOW_SIZE) % 2 == 0]
-        source = ArraySource(times, np.sin(times * 0.01), period=2)
-        compiled = LifeStreamEngine(window_size=WINDOW_SIZE).compile(
-            _hot_query(), {"s": source}
-        )
-        backend, reason = recommend_backend(compiled.plan)
-        assert isinstance(backend, VectorizedBackend)
-        assert backend.max_run_windows is None
-        assert "lower to array programs" in reason
-        # Plans with nothing to lower stay serial.
-        query = Query.source("s", frequency_hz=500).multicast(
-            lambda s: s.clip_join(s, lambda a, b: a + b)
-        )
-        backend, reason = recommend_backend(self._plan(query))
-        assert isinstance(backend, SerialBackend)
-        assert "lowers to a run kernel" in reason
-
     def test_profiled_long_runs_pick_vectorized_with_sized_cap(self):
         profile = PlanProfile()
         for _ in range(5):
@@ -269,6 +243,14 @@ class TestRecommendBackend:
         backend, reason = recommend_backend(self._plan(), profile=profile)
         assert isinstance(backend, SerialBackend)
         assert "isolated" in reason
+
+    def test_profile_without_window_runs_picks_serial(self):
+        profile = PlanProfile()
+        for _ in range(5):
+            profile.observe(_tick())
+        backend, reason = recommend_backend(self._plan(), profile=profile)
+        assert isinstance(backend, SerialBackend)
+        assert "mean run 0.0" in reason
 
     def test_profiled_runs_without_lowering_pick_serial(self):
         # No operator of a clip-join plan lowers to a run kernel, so even
@@ -444,14 +426,3 @@ class TestColdStartCost:
             service.open("cold", _hot_query(), {"s": ReplaySource(_dense_source())})
             order = service._schedule({"warm": 8000, "cold": 8000})
             assert order[0] == "cold"
-
-
-class TestAutoBackendReason:
-    def test_e2e_auto_backend_reports_reason(self):
-        from repro.bench.workloads import e2e_dataset
-        from repro.pipelines.e2e import run_lifestream_e2e
-
-        ecg, abp = e2e_dataset(duration_seconds=2.0, seed=0)
-        run = run_lifestream_e2e(ecg, abp, backend="auto")
-        assert run.extra["backend"].endswith("(auto)")
-        assert run.extra["backend_reason"]
